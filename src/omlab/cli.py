@@ -57,7 +57,9 @@ class Caps:
             try:
                 n = int(value)
             except ValueError:
-                raise OmlabError(f"OMLAB_CAPS entry {item!r} is not name=int") from None
+                raise FormatError(f"OMLAB_CAPS entry {item!r} is not name=int") from None
+            if n < 0:
+                raise FormatError(f"OMLAB_CAPS entry {item!r} is negative")
             key = key.strip().lower()
             if key == "4p":
                 caps.four_p = n
@@ -66,7 +68,7 @@ class Caps:
             elif key == "fa":
                 caps.fa = n
             else:
-                raise OmlabError(f"OMLAB_CAPS names must be 4p, ce, fa (got {key!r})")
+                raise FormatError(f"OMLAB_CAPS names must be 4p, ce, fa (got {key!r})")
         return caps
 
 
@@ -251,22 +253,40 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _int_at_least(least: int):
+    """argparse type: an integer no smaller than ``least``."""
+
+    def parse(raw: str) -> int:
+        try:
+            n = int(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+        if n < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least} (got {n})")
+        return n
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
+    cap = _int_at_least(0)
     parser = argparse.ArgumentParser(prog="omlab", description=__doc__)
-    parser.add_argument("--cap-4p", type=int, default=None, help="ground-size cap for exhaustive (4P)")
+    parser.add_argument("--cap-4p", type=cap, default=None, help="ground-size cap for exhaustive (4P)")
     parser.add_argument(
         "--trust-input",
         action="store_true",
         help="skip the circuit-axiom validation of parsed files (needed above the validation cap)",
     )
-    parser.add_argument("--cap-ce", type=int, default=None, help="ground-size cap for exhaustive (CE)")
-    parser.add_argument("--cap-fa", type=int, default=None, help="ground-size cap for exhaustive (FA)")
+    parser.add_argument("--cap-ce", type=cap, default=None, help="ground-size cap for exhaustive (CE)")
+    parser.add_argument("--cap-fa", type=cap, default=None, help="ground-size cap for exhaustive (FA)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="run axiom checkers on an oriented-matroid file")
     p.add_argument("file")
     p.add_argument("--which", default=None, help="comma-separated subset of O,CE,4P,FP,FA")
-    p.add_argument("--sample", type=int, default=None, help="randomized trials instead of exhaustion")
+    p.add_argument(
+        "--sample", type=_int_at_least(1), default=None, help="randomized trials (at least 1) instead of exhaustion"
+    )
     p.add_argument("--seed", type=int, default=0, help="seed for sampling mode")
     p.add_argument("--porcelain", action="store_true", help="stable key:value output")
     p.set_defaults(func=cmd_check)

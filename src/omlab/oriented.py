@@ -565,28 +565,96 @@ def check_FP(
 
 # ---------------------------------------------------------------------------
 # 4-painting property
+#
+# Bit-sliced evaluation (Biham, FSE 1997): every element carries one plane
+# per color, a big int whose bit j says that painting j gives the element
+# that color, so one pass over the (co)circuits decides a whole batch.
+
+_BLOCK_ELEMENTS = 8  # exhaustive blocks paint the last 8 elements all 4^8 ways
+_SAMPLE_BATCH = 1024  # sampled paintings per pass; small, so a witness stops the draws early
+_COLOR_DIGITS = tuple(bytes(48 + (i == c) for i in range(256)) for c in range(4))  # color c -> b"1"
 
 
-def _paint_scan(
+def _paint_bad(
     circ_pairs: list[tuple[int, int, int]],
     cocirc_pairs: list[tuple[int, int, int]],
-    b: int,
-    w: int,
-    g: int,
-    r: int,
-) -> int:
-    """Elements of B|W failing the exactly-one alternative; 0 means OK."""
-    us = 0
-    for p, m, s in circ_pairs:
-        if not s & r:
-            if not ((m & b) | (p & w)) or not ((p & b) | (m & w)):
-                us |= s
-    ut = 0
-    for p, m, s in cocirc_pairs:
-        if not s & g:
-            if not ((m & b) | (p & w)) or not ((p & b) | (m & w)):
-                ut |= s
-    return (b | w) & ~(us ^ ut)
+    planes: list[tuple[int, int, int, int]],
+    full: int,
+) -> list[int]:
+    """Per element, the paintings in which it fails the exactly-one alternative.
+
+    ``planes[e]`` holds element e's (B, W, G, R) planes and ``full`` has one
+    bit per painting.  A circuit (cocircuit) serves a painting when it avoids
+    R (G) and its signs agree, up to a global sign, with B positive and W
+    negative.
+    """
+
+    def served(pairs, avoid: int) -> list[int]:
+        out = [0] * len(planes)
+        for p, m, s in pairs:
+            blocked = plus_bad = minus_bad = 0
+            for e in bits(p):
+                col = planes[e]
+                blocked |= col[avoid]
+                minus_bad |= col[0]
+                plus_bad |= col[1]
+            for e in bits(m):
+                col = planes[e]
+                blocked |= col[avoid]
+                plus_bad |= col[0]
+                minus_bad |= col[1]
+            hit = full ^ (blocked | (plus_bad & minus_bad))
+            if hit:
+                for e in bits(s):
+                    out[e] |= hit
+        return out
+
+    us = served(circ_pairs, 3)
+    ut = served(cocirc_pairs, 2)
+    return [(b | w) & ~(us[e] ^ ut[e]) for e, (b, w, _, _) in enumerate(planes)]
+
+
+def _exhaustive_paintings(n: int):
+    """Batches (planes, full, colors_of) over all 4^n paintings in product order.
+
+    Each block fixes a prefix of the first n - k colors in
+    ``itertools.product`` order and paints the last k elements every way, so
+    bit j of a block is the block's j-th painting in the same order.
+    """
+    k = min(n, _BLOCK_ELEMENTS)
+    width = 4**k
+    full = (1 << width) - 1
+    digits = range(k - 1, -1, -1)  # element n - k + t is base-4 digit k - 1 - t of j
+    suffix = []
+    for q in digits:
+        run = 4**q
+        # digit q of j is 0 (black) on the first run bits of every 4 * run
+        black, span = (1 << run) - 1, 4 * run
+        while span < width:
+            black |= black << span
+            span *= 2
+        suffix.append(tuple(black << c * run for c in range(4)))
+    constant = [tuple(full if c == col else 0 for c in range(4)) for col in range(4)]
+    for prefix in itertools.product(range(4), repeat=n - k):
+        planes = [constant[col] for col in prefix] + suffix
+        yield planes, full, lambda j, prefix=prefix: prefix + tuple((j >> 2 * q) & 3 for q in digits)
+
+
+def _sampled_paintings(n: int, sample: int, seed: int):
+    """Batches (planes, full, colors_of) of ``sample`` seeded random paintings.
+
+    Draws ``rng.randrange(4)`` per element, painting by painting; bit j of a
+    batch is its j-th painting.
+    """
+    rng = random.Random(seed)
+    for start in range(0, sample, _SAMPLE_BATCH):
+        count = min(_SAMPLE_BATCH, sample - start)
+        draws = bytes(rng.randrange(4) for _ in range(count * n))
+        planes = [
+            tuple(int(draws[e::n].translate(digits)[::-1], 2) for digits in _COLOR_DIGITS)
+            for e in range(n)
+        ]
+        yield planes, (1 << count) - 1, lambda j, draws=draws: tuple(draws[j * n : (j + 1) * n])
 
 
 def check_4P_at(pair: SignaturePair, partition: FourPartition, focus: int) -> bool:
@@ -595,11 +663,11 @@ def check_4P_at(pair: SignaturePair, partition: FourPartition, focus: int) -> bo
         raise GroundMismatchError("partition lives on a different ground set")
     b, w = mask_of(partition.black), mask_of(partition.white)
     g, r = mask_of(partition.green), mask_of(partition.red)
-    fb = 1 << focus
-    if not (b | w) & fb:
+    if not (b | w) >> focus & 1:
         raise DomainError("focus element must be painted black or white")
-    bad = _paint_scan(pair.circuit_sig.pair_masks(), pair.cocircuit_sig.pair_masks(), b, w, g, r)
-    return not bad & fb
+    planes = [(b >> e & 1, w >> e & 1, g >> e & 1, r >> e & 1) for e in range(pair.ground.size)]
+    bad = _paint_bad(pair.circuit_sig.pair_masks(), pair.cocircuit_sig.pair_masks(), planes, 1)
+    return not bad[focus]
 
 
 def check_4P(
@@ -608,41 +676,44 @@ def check_4P(
     """(4P): for every 4-partition and focus element, exactly one alternative.
 
     Exhaustive over all 4^n partitions up to the cap; above it a seeded
-    random sample of partitions must be requested explicitly.
+    random sample of partitions must be requested explicitly.  The witness is
+    the first violating partition in enumeration (or draw) order, focused on
+    its least failing element.
     """
     ground = pair.ground
     n = ground.size
-    circ_pairs = pair.circuit_sig.pair_masks()
-    cocirc_pairs = pair.cocircuit_sig.pair_masks()
-
-    def run(assignments) -> Verdict:
-        for colors in assignments:
-            b = w = g = r = 0
-            for i, col in enumerate(colors):
-                if col == 0:
-                    b |= 1 << i
-                elif col == 1:
-                    w |= 1 << i
-                elif col == 2:
-                    g |= 1 << i
-                else:
-                    r |= 1 << i
-            bad = _paint_scan(circ_pairs, cocirc_pairs, b, w, g, r)
-            if bad:
-                e = (bad & -bad).bit_length() - 1
-                part = FourPartition.from_masks(ground, b, w, g, r)
-                return Verdict(False, FourPViolation(part, e))
-        return Verdict(True)
-
     if sample is not None:
-        rng = random.Random(seed)
-        verdict = run(tuple(rng.randrange(4) for _ in range(n)) for _ in range(sample))
-        return Verdict(verdict.ok, verdict.witness, f"sampled {sample} partitions, seed={seed}")
-    if n > cap:
+        _check_sample(sample)
+        batches = _sampled_paintings(n, sample, seed)
+        detail = f"sampled {sample} partitions, seed={seed}"
+    elif n > cap:
         raise CapExceededError(
             f"exhaustive (4P) needs ground size <= {cap} (got {n}); use sampling instead"
         )
-    return run(itertools.product(range(4), repeat=n))
+    else:
+        batches = _exhaustive_paintings(n)
+        detail = ""
+    circ_pairs = pair.circuit_sig.pair_masks()
+    cocirc_pairs = pair.cocircuit_sig.pair_masks()
+    for planes, full, colors_of in batches:
+        bad = _paint_bad(circ_pairs, cocirc_pairs, planes, full)
+        any_bad = 0
+        for x in bad:
+            any_bad |= x
+        if any_bad:
+            j = (any_bad & -any_bad).bit_length() - 1
+            e = next(e for e, x in enumerate(bad) if x >> j & 1)
+            masks = [0, 0, 0, 0]
+            for i, col in enumerate(colors_of(j)):
+                masks[col] |= 1 << i
+            part = FourPartition.from_masks(ground, *masks)
+            return Verdict(False, FourPViolation(part, e), detail)
+    return Verdict(True, detail=detail)
+
+
+def _check_sample(sample: int) -> None:
+    if sample < 1:
+        raise DomainError(f"sampling needs at least one trial (got {sample})")
 
 
 # ---------------------------------------------------------------------------
@@ -660,6 +731,7 @@ def check_CE(
     """
     n = sig.ground.size
     if sample is not None:
+        _check_sample(sample)
         return _check_ce_sampled(sig, sample, seed)
     if n > cap:
         raise CapExceededError(
@@ -764,9 +836,11 @@ def _ce_family_for_union(cand, target_pos, target_neg):
 
 
 def _check_ce_sampled(sig: CircuitSignature, trials: int, seed: int) -> Verdict:
+    reps = sig.representatives()
+    if not reps:
+        return Verdict(True, detail="empty family: no elimination instances")
     rng = random.Random(seed)
     members = sig.member_masks()
-    reps = sig.representatives()
     detail = f"sampled {trials} instances, seed={seed}"
     for _ in range(trials):
         c = reps[rng.randrange(len(reps))]
@@ -823,7 +897,9 @@ def check_FA(
     """
     ground = pair.ground
     n = ground.size
-    if sample is None and n > cap:
+    if sample is not None:
+        _check_sample(sample)
+    elif n > cap:
         raise CapExceededError(
             f"exhaustive (FA) needs ground size <= {cap} (got {n}); use sampling instead"
         )

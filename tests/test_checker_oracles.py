@@ -10,15 +10,24 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import corrupt_pair, fig4_digraph, triangle
 from omlab.digraphs import graphic_om
+from omlab.errors import CapExceededError
 from omlab.matroid import MinorSpec
 from omlab.oriented import (
+    FOUR_P_CAP_DEFAULT,
+    _exhaustive_paintings,
     CircuitSignature,
+    FourPartition,
+    FourPViolation,
     SignaturePair,
+    Verdict,
     alternating_rank2,
     check_4P,
+    check_4P_at,
     check_CE,
     check_FA,
     check_FP,
@@ -126,6 +135,134 @@ def naive_check_4p(pair: SignaturePair) -> bool:
 def test_4p_matches_naive():
     for name, pair in small_instances():
         assert bool(check_4P(pair)) == naive_check_4p(pair), name
+
+
+# -- scalar (4P): one partition at a time ------------------------------------------
+#
+# The per-partition scan the bit-sliced kernel replaced.  It must agree with
+# the kernel on the verdict and on the witness: the first violating partition
+# in product (or draw) order, focused on its least failing element.
+
+
+def scalar_paint_scan(circ_pairs, cocirc_pairs, b, w, g, r) -> int:
+    """Elements of B|W failing the exactly-one alternative; 0 means OK."""
+    us = 0
+    for p, m, s in circ_pairs:
+        if not s & r:
+            if not ((m & b) | (p & w)) or not ((p & b) | (m & w)):
+                us |= s
+    ut = 0
+    for p, m, s in cocirc_pairs:
+        if not s & g:
+            if not ((m & b) | (p & w)) or not ((p & b) | (m & w)):
+                ut |= s
+    return (b | w) & ~(us ^ ut)
+
+
+def scalar_check_4p(pair: SignaturePair, *, cap=FOUR_P_CAP_DEFAULT, sample=None, seed=0) -> Verdict:
+    ground = pair.ground
+    n = ground.size
+    circ_pairs = pair.circuit_sig.pair_masks()
+    cocirc_pairs = pair.cocircuit_sig.pair_masks()
+
+    def run(assignments, detail) -> Verdict:
+        for colors in assignments:
+            masks = [0, 0, 0, 0]
+            for i, col in enumerate(colors):
+                masks[col] |= 1 << i
+            bad = scalar_paint_scan(circ_pairs, cocirc_pairs, *masks)
+            if bad:
+                e = (bad & -bad).bit_length() - 1
+                part = FourPartition.from_masks(ground, *masks)
+                return Verdict(False, FourPViolation(part, e), detail)
+        return Verdict(True, detail=detail)
+
+    if sample is not None:
+        rng = random.Random(seed)
+        draws = (tuple(rng.randrange(4) for _ in range(n)) for _ in range(sample))
+        return run(draws, f"sampled {sample} partitions, seed={seed}")
+    if n > cap:
+        raise CapExceededError(f"exhaustive (4P) needs ground size <= {cap} (got {n})")
+    return run(itertools.product(range(4), repeat=n), "")
+
+
+def test_4p_kernel_matches_scalar_on_pool(instance_pool):
+    failing = 0
+    for inst in instance_pool:
+        got = check_4P(inst.pair)
+        assert got == scalar_check_4p(inst.pair), inst.name
+        failing += not got.ok
+    assert failing == 80  # the sign-corrupted mutants, so witnesses are compared
+
+
+MUTANT_BASES = [
+    alternating_rank2(5),
+    alternating_rank2(6),
+    alternating_rank2(9),  # two-level enumeration: a one-element prefix over 4^8-painting blocks
+    graphic_om(fig4_digraph()),
+    graphic_om(fig4_digraph()).reorient(0b101),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(MUTANT_BASES), st.integers(0, 2**32 - 1))
+def test_4p_kernel_matches_scalar_on_mutants(base, seed):
+    mutant = corrupt_pair(base, random.Random(seed))
+    assert check_4P(mutant) == scalar_check_4p(mutant)
+
+
+@pytest.mark.parametrize("sample", [1, 37, 2500])
+@pytest.mark.parametrize("seed", [0, 5, 91])
+def test_4p_sampled_kernel_matches_scalar(sample, seed):
+    # 2500 spans several kernel batches; the mutants fail at varying draws
+    rng = random.Random(sample * 1000 + seed)
+    alt7 = alternating_rank2(7)
+    pairs = [alt7, corrupt_pair(alt7, rng), corrupt_pair(graphic_om(fig4_digraph()), rng)]
+    for pair in pairs:
+        got = check_4P(pair, cap=3, sample=sample, seed=seed)
+        assert got == scalar_check_4p(pair, cap=3, sample=sample, seed=seed)
+
+
+def test_4p_sampled_witness_past_first_batch():
+    mutant = corrupt_pair(alternating_rank2(10), random.Random(0))
+    assert check_4P(mutant, sample=1024, seed=0)  # the first violating draw comes later
+    got = check_4P(mutant, sample=2500, seed=0)
+    assert not got
+    assert got == scalar_check_4p(mutant, sample=2500, seed=0)
+
+
+def test_exhaustive_batches_follow_product_order():
+    # mutants' first witnesses all fall in the first block, so check the later
+    # blocks' planes and decoding against itertools.product directly
+    n = 9
+    batches = list(_exhaustive_paintings(n))
+    assert len(batches) == 4
+    for index, colors in enumerate(itertools.product(range(4), repeat=n)):
+        if index % 97:
+            continue
+        planes, full, colors_of = batches[index >> 16]
+        j = index & 0xFFFF
+        assert full == (1 << 4**8) - 1
+        assert colors_of(j) == colors
+        for e, col in enumerate(colors):
+            assert [plane >> j & 1 for plane in planes[e]] == [int(c == col) for c in range(4)]
+
+
+def test_4p_at_matches_scalar_on_every_painting():
+    for name, pair in small_instances():
+        n = pair.ground.size
+        circ_pairs = pair.circuit_sig.pair_masks()
+        cocirc_pairs = pair.cocircuit_sig.pair_masks()
+        for colors in itertools.product(range(4), repeat=n):
+            masks = [0, 0, 0, 0]
+            for i, col in enumerate(colors):
+                masks[col] |= 1 << i
+            bad = scalar_paint_scan(circ_pairs, cocirc_pairs, *masks)
+            part = FourPartition.from_masks(pair.ground, *masks)
+            for focus in range(n):
+                if colors[focus] < 2:
+                    want = not bad >> focus & 1
+                    assert check_4P_at(pair, part, focus) == want, (name, colors, focus)
 
 
 # -- naive (FA) -----------------------------------------------------------------

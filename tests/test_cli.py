@@ -97,6 +97,38 @@ def test_sampling_mode(alt5_file, capsys):
     assert "seed=7" in out
 
 
+@pytest.mark.parametrize("sample", ["0", "-3"])
+def test_sample_below_one_usage_error(alt5_file, capsys, sample):
+    code, out, err = run(capsys, "check", alt5_file, "--sample", sample)
+    assert code == 2
+    assert "pass" not in out and "--sample" in err
+
+
+def test_sampled_check_of_circuit_free_matroid(tmp_path, capsys):
+    tree = tmp_path / "tree.dg"
+    tree.write_text("3\n1 2 e1\n2 3 e2\n")
+    om = tmp_path / "tree.om"
+    assert main(["gen", "graphic", str(tree), "-o", str(om)]) == 0
+    code, out, err = run(capsys, "check", str(om), "--sample", "5")
+    assert code == 0 and "Traceback" not in err
+    assert "verdict: pass" in out
+
+
+@pytest.mark.parametrize("flag", ["--cap-4p", "--cap-ce", "--cap-fa"])
+def test_negative_cap_flag_usage_error(alt5_file, capsys, flag):
+    code, out, err = run(capsys, flag, "-1", "check", alt5_file)
+    assert code == 2
+    assert out == "" and flag in err
+
+
+@pytest.mark.parametrize("env", ["4p=x", "zz=3", "ce=-1"])
+def test_bad_caps_env_parse_error(alt5_file, capsys, monkeypatch, env):
+    monkeypatch.setenv("OMLAB_CAPS", env)
+    code, out, err = run(capsys, "check", alt5_file, "--which", "O")
+    assert code == 2
+    assert out == "" and "OMLAB_CAPS" in err
+
+
 def test_caps_env_and_flag_priority(alt5_file, capsys, monkeypatch):
     monkeypatch.setenv("OMLAB_CAPS", "fa=3")
     code, _, err = run(capsys, "check", alt5_file, "--which", "FA")

@@ -412,6 +412,24 @@ def test_fa_cap_and_sampling():
     assert verdict and "seed=2" in verdict.detail
 
 
+@pytest.mark.parametrize("sample", [0, -3])
+def test_sampling_needs_a_trial(sample):
+    pair = alternating_rank2(4)
+    with pytest.raises(DomainError):
+        check_4P(pair, sample=sample)
+    with pytest.raises(DomainError):
+        check_CE(pair.circuit_sig, sample=sample)
+    with pytest.raises(DomainError):
+        check_FA(pair, sample=sample)
+
+
+def test_ce_sampling_on_circuit_free_matroid():
+    tree = graphic_om(Digraph.of(["1", "2", "3"], [("1", "2"), ("2", "3")]))
+    assert not tree.matroid.circuit_masks
+    verdict = check_CE(tree.circuit_sig, sample=5)
+    assert verdict and "empty family" in verdict.detail
+
+
 def test_fa_agrees_with_public_induced_sets():
     # the fast path inside check_FA must match induced_sets + check_FP
     rng = random.Random(12)
