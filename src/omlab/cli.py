@@ -128,8 +128,8 @@ def _run_checks(pair: SignaturePair, which: list[str], caps: Caps, sample: int |
                 cover = check_CE(pair.cocircuit_sig, cap=caps.ce, sample=sample, seed=seed)
                 if not cover.ok:
                     verdict = Verdict(False, cover.witness, (cover.detail + " (cocircuit side)").strip())
-                elif cover.detail:
-                    verdict = Verdict(True, detail=cover.detail)
+                elif cover.detail != verdict.detail:
+                    verdict = Verdict(True, detail=f"circuit side: {verdict.detail}; cocircuit side: {cover.detail}")
         elif name == "4P":
             verdict = check_4P(pair, cap=caps.four_p, sample=sample, seed=seed)
         elif name == "FP":

@@ -150,29 +150,28 @@ class Matroid:
     # -- duality -------------------------------------------------------------
 
     def dual(self) -> "Matroid":
-        """The dual matroid; its circuits are this matroid's cocircuits."""
+        """The dual matroid; its circuits are this matroid's cocircuits.
+
+        Cocircuits are the complements of hyperplanes, and every hyperplane is
+        the closure of an independent (r-1)-subset S.  An element e outside S
+        lies in that closure exactly when some circuit C has C \\ S = {e}.
+        """
         if self._dual is None:
             full = self.ground.full_mask
             r = self.rank()
-            coind: dict[int, bool] = {}
-
-            def coindependent(m: int) -> bool:
-                got = coind.get(m)
-                if got is None:
-                    got = self.rank(full & ~m) == r
-                    coind[m] = got
-                return got
-
-            cocircuits: list[int] = []
-            n = self.ground.size
-            for size in range(1, n + 1):
-                for combo in itertools.combinations(range(n), size):
-                    m = mask_of(combo)
-                    if any(c & ~m == 0 for c in cocircuits):
-                        continue
-                    if not coindependent(m):
-                        cocircuits.append(m)
-            self._dual = Matroid._from_valid(self.ground, cocircuits)
+            hyperplanes: set[int] = set()
+            for combo in itertools.combinations(range(self.ground.size), r - 1) if r else ():
+                s = mask_of(combo)
+                closure = s
+                for c in self.circuit_masks:
+                    rest = c & ~s
+                    if not rest:
+                        break  # S is dependent
+                    if not rest & (rest - 1):
+                        closure |= rest
+                else:
+                    hyperplanes.add(closure)
+            self._dual = Matroid._from_valid(self.ground, (full & ~h for h in hyperplanes))
         return self._dual
 
     @property
@@ -300,78 +299,98 @@ def validate_circuits(
 def _find_c3_violation(masks: tuple[int, ...]) -> tuple[int, int, tuple[int, ...], int] | None:
     """First (C, X, family, f) for which strong elimination has no witness.
 
-    The feasibility of an elimination instance depends on the family only
-    through the union of its members, so families are deduplicated by that
-    union while searching; a concrete family is reconstructed on failure.
+    Circuits C and subsets X of C go in canonical order.  The union to blame
+    is the one met first with each member's options taken in reverse
+    canonical order; the family reported is the first, in canonical order,
+    with that union.  Both come from :func:`_first_bad_family`, and a
+    retained f is covered when :func:`_cover` finds a circuit through f
+    inside (C | union) minus X.
     """
-    cover_memo: dict[int, int] = {}
-
-    def cover(allowed: int) -> int:
-        got = cover_memo.get(allowed)
-        if got is None:
-            got = 0
-            for d in masks:
-                if d & ~allowed == 0:
-                    got |= d
-            cover_memo[allowed] = got
-        return got
-
+    n = max(masks, default=0).bit_length()
+    cover = _cover(masks, n)
+    through = [[d for d in masks if d >> e & 1] for e in range(n)]
     for c in masks:
         xs = list(bits(c))
         for size in range(1, len(xs) + 1):
             for x_combo in itertools.combinations(xs, size):
                 x = mask_of(x_combo)
-                cand = []
-                ok = True
-                for xi in x_combo:
-                    options = [d for d in masks if d & x == (1 << xi)]
-                    if not options:
-                        ok = False
-                        break
-                    cand.append(options)
-                if not ok:
+                cand = [[d for d in through[xi] if not d & x & ~(1 << xi)] for xi in x_combo]
+                if not all(cand):
                     continue
-                bad_u = _scan_unions(c, x, cand, cover)
-                if bad_u is None:
+
+                def bad(u: int) -> int:
+                    return c & ~u & ~cover((c | u) & ~x)
+
+                found = _first_bad_family([opts[::-1] for opts in cand], bad)
+                if found is None:
                     continue
-                u, f = bad_u
-                fam = _family_for_union(cand, u)
-                return c, x, fam, f
+                u = found[1]
+                fam, _ = _first_bad_family(cand, lambda v: v == u)
+                got = bad(u)
+                return c, x, fam, (got & -got).bit_length() - 1
     return None
 
 
-def _scan_unions(c: int, x: int, cand: list[list[int]], cover) -> tuple[int, int] | None:
-    seen: set[tuple[int, int]] = set()
-    stack = [(0, 0)]
-    while stack:
-        depth, u = stack.pop()
-        if (depth, u) in seen:
-            continue
-        seen.add((depth, u))
-        if depth == len(cand):
-            allowed = (c | u) & ~x
-            for f in bits(c & ~u):
-                if not ((cover(allowed) >> f) & 1):
-                    return u, f
-            continue
-        for d in cand[depth]:
-            stack.append((depth + 1, u | d))
-    return None
+def _first_bad_family(opts: list[list[int]], bad) -> tuple[tuple[int, ...], int] | None:
+    """The lexicographically first family, one option per level, whose union is bad.
 
-
-def _family_for_union(cand: list[list[int]], target: int) -> tuple[int, ...]:
-    def rec(depth: int, u: int, picked: tuple[int, ...]):
-        if depth == len(cand):
-            return picked if u == target else None
-        for d in cand[depth]:
-            if (u | d) & ~target:
-                continue
-            got = rec(depth + 1, u | d, picked + (d,))
-            if got is not None:
-                return got
+    Options are ints and a family's union is their OR, which is all an
+    elimination instance's feasibility depends on.  The distinct unions are
+    built level by level and ``bad`` is asked once per distinct full union.
+    Only when one is bad are the partial unions that still reach a bad one
+    marked, backwards, and the first live option taken at each level.
+    Returns the family and its union, or None when no union is bad.
+    """
+    levels = [{0}]
+    for level in opts:
+        levels.append({u | d for u in levels[-1] for d in level})
+    live = {u for u in levels[-1] if bad(u)}
+    if not live:
         return None
+    lives = [live]
+    for k in range(len(opts) - 1, 0, -1):
+        level = opts[k]
+        live = {u for u in levels[k] if any(u | d in live for d in level)}
+        lives.append(live)
+    family = []
+    u = 0
+    for level, live in zip(opts, reversed(lives)):
+        d = next(d for d in level if u | d in live)
+        family.append(d)
+        u |= d
+    return tuple(family), u
 
-    got = rec(0, 0, ())
-    if got is None:
-        raise InvariantError("failed to reconstruct elimination family")
-    return got
+
+def _cover(members: Iterable[int], n: int):
+    """Memoised map from an allowed set to the elements it covers.
+
+    Members and allowed sets are packed signed masks, ``pos | neg << n``
+    (unsigned circuits have an empty negative part).  A member is usable
+    when it packs inside the allowed set, and element e is covered when a
+    usable member's support contains e.  Bit i of element j's plane says
+    that member i contains j; a member is blocked by any plane of a position
+    outside the allowed set.
+    """
+    planes = [0] * (2 * n)
+    for i, d in enumerate(members):
+        for j in bits(d):
+            planes[j] |= 1 << i
+    used = [(j, plane) for j, plane in enumerate(planes) if plane]
+    supports = [(1 << e, planes[e] | planes[e + n]) for e in range(n)]
+    memo: dict[int, int] = {}
+
+    def cover(allowed: int) -> int:
+        got = memo.get(allowed)
+        if got is None:
+            blocked = 0
+            for j, plane in used:
+                if not allowed >> j & 1:
+                    blocked |= plane
+            got = 0
+            for eb, plane in supports:
+                if plane & ~blocked:
+                    got |= eb
+            memo[allowed] = got
+        return got
+
+    return cover

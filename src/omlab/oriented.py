@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .errors import CapExceededError, DomainError, GroundMismatchError, InvariantError, ValidationError
-from .matroid import Matroid, MinorSpec, contraction_circuit_masks
+from .matroid import Matroid, MinorSpec, _cover, _first_bad_family, contraction_circuit_masks
 from .signed_sets import GroundSet, SignedSubset, bits, indices, mask_of
 
 FOUR_P_CAP_DEFAULT = 10
@@ -725,9 +725,13 @@ def check_CE(
 ) -> Verdict:
     """(CE): every elimination instance admits a sign-conforming circuit.
 
-    Families are enumerated up to the union of their members' signs, which is
-    all the admissibility condition depends on; a concrete witness family is
-    reconstructed when a violation is found.
+    For each representative C and subset X of its support, in canonical
+    order, the candidate members for each x in X are packed as
+    ``pos | neg << n``.  Admissibility depends on a family only through the
+    OR of its members, so ``matroid._first_bad_family`` searches the
+    distinct unions and returns the first failing family in enumeration
+    order, and the bit-sliced ``matroid._cover`` tells which retained
+    elements an admissible member covers.
     """
     n = sig.ground.size
     if sample is not None:
@@ -737,102 +741,45 @@ def check_CE(
         raise CapExceededError(
             f"exhaustive (CE) needs ground size <= {cap} (got {n}); use sampling instead"
         )
-    members = sig.member_masks()
-    cover_memo: dict[tuple[int, int], int] = {}
-
-    def cover(ap: int, an: int) -> int:
-        got = cover_memo.get((ap, an))
-        if got is None:
-            got = 0
-            for p, m, s in members:
-                if not (p & ~ap or m & ~an):
-                    got |= s
-            cover_memo[(ap, an)] = got
-        return got
-
+    packed = [p | m << n for p, m, _ in sig.member_masks()]
+    cover = _cover(packed, n)
+    full = sig.ground.full_mask
+    # members whose negative / positive part contains e: the options against a
+    # positive / negative sign of C at e
+    against = [
+        ([d for d in packed if d >> (e + n) & 1], [d for d in packed if d >> e & 1]) for e in range(n)
+    ]
     for c in sig.representatives():
         cp, cm, cs = c.pos, c.neg, c.support
+        ck = cp | cm << n
         xs = list(bits(cs))
         for size in range(1, len(xs) + 1):
             for x_combo in itertools.combinations(xs, size):
                 x = mask_of(x_combo)
-                cand: list[list[tuple[int, int, int]]] = []
-                feasible = True
+                xx = x | x << n
+                cand = []
                 for xi in x_combo:
-                    xb = 1 << xi
-                    options = [
-                        (p, m, s)
-                        for p, m, s in members
-                        if s & x == xb and ((p & xb) if cm & xb else (m & xb))
-                    ]
-                    if not options:
-                        feasible = False
-                        break
-                    cand.append(options)
-                if not feasible:
+                    others = xx & ~(1 << xi | 1 << (xi + n))
+                    cand.append([d for d in against[xi][cm >> xi & 1] if not d & others])
+                if not all(cand):
                     continue
-                bad = _ce_scan(cp, cm, cs, x, cand, cover)
-                if bad is None:
+
+                def bad(u: int) -> int:
+                    frange = cs & ~((cp & u >> n) | (cm & u))
+                    return frange and frange & ~cover((ck | u) & ~xx)
+
+                found = _first_bad_family(cand, bad)
+                if found is None:
                     continue
-                upos, uneg, f = bad
-                fam = _ce_family_for_union(cand, upos, uneg)
+                fam, u = found
+                got = bad(u)
                 inst = EliminationInstance.of(
                     c,
-                    {
-                        xi: SignedSubset(sig.ground, p, m)
-                        for xi, (p, m, _) in zip(x_combo, fam)
-                    },
-                    f,
+                    {xi: SignedSubset(sig.ground, d & full, d >> n) for xi, d in zip(x_combo, fam)},
+                    (got & -got).bit_length() - 1,
                 )
                 return Verdict(False, CEViolation(inst))
     return Verdict(True)
-
-
-def _ce_scan(cp, cm, cs, x, cand, cover):
-    seen: set[tuple[int, int, int]] = set()
-
-    def rec(depth: int, upos: int, uneg: int):
-        key = (depth, upos, uneg)
-        if key in seen:
-            return None
-        seen.add(key)
-        if depth == len(cand):
-            sepu = (cp & uneg) | (cm & upos)
-            frange = cs & ~sepu
-            if not frange:
-                return None
-            ap = (cp | upos) & ~x
-            an = (cm | uneg) & ~x
-            bad = frange & ~cover(ap, an)
-            if bad:
-                return upos, uneg, (bad & -bad).bit_length() - 1
-            return None
-        for p, m, _ in cand[depth]:
-            got = rec(depth + 1, upos | p, uneg | m)
-            if got is not None:
-                return got
-        return None
-
-    return rec(0, 0, 0)
-
-
-def _ce_family_for_union(cand, target_pos, target_neg):
-    def rec(depth: int, upos: int, uneg: int, picked: tuple):
-        if depth == len(cand):
-            return picked if (upos, uneg) == (target_pos, target_neg) else None
-        for opt in cand[depth]:
-            p, m, _ = opt
-            if (upos | p) & ~target_pos or (uneg | m) & ~target_neg:
-                continue
-            got = rec(depth + 1, upos | p, uneg | m, picked + (opt,))
-            if got is not None:
-                return got
-        return None
-
-    got = rec(0, 0, 0, ())
-    if got is None:
-        raise InvariantError("failed to reconstruct elimination family")
-    return got
 
 
 def _check_ce_sampled(sig: CircuitSignature, trials: int, seed: int) -> Verdict:
@@ -841,7 +788,10 @@ def _check_ce_sampled(sig: CircuitSignature, trials: int, seed: int) -> Verdict:
         return Verdict(True, detail="empty family: no elimination instances")
     rng = random.Random(seed)
     members = sig.member_masks()
+    n = sig.ground.size
+    cover = _cover((p | m << n for p, m, _ in members), n)
     detail = f"sampled {trials} instances, seed={seed}"
+    tested = 0  # draws with a nonempty range of f, as opposed to skipped ones
     for _ in range(trials):
         c = reps[rng.randrange(len(reps))]
         support = list(bits(c.support))
@@ -872,15 +822,13 @@ def _check_ce_sampled(sig: CircuitSignature, trials: int, seed: int) -> Verdict:
         if not frange:
             continue
         f = frange[rng.randrange(len(frange))]
+        tested += 1
         ap = (c.pos | upos) & ~x
         an = (c.neg | uneg) & ~x
-        found = any(
-            (s >> f) & 1 and not (p & ~ap or m & ~an) for p, m, s in members
-        )
-        if not found:
+        if not cover(ap | an << n) >> f & 1:
             inst = EliminationInstance.of(c, family, f)
-            return Verdict(False, CEViolation(inst), detail)
-    return Verdict(True, detail=detail)
+            return Verdict(False, CEViolation(inst), f"{detail}, {tested} admissible tested")
+    return Verdict(True, detail=f"{detail}, {tested} admissible tested")
 
 
 # ---------------------------------------------------------------------------

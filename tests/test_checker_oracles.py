@@ -15,12 +15,15 @@ from hypothesis import strategies as st
 
 from conftest import corrupt_pair, fig4_digraph, triangle
 from omlab.digraphs import graphic_om
-from omlab.errors import CapExceededError
-from omlab.matroid import MinorSpec
+from omlab.errors import CapExceededError, InvariantError
+from omlab.matroid import CircuitViolation, Matroid, MinorSpec, _find_c3_violation, validate_circuits
 from omlab.oriented import (
+    CE_CAP_DEFAULT,
     FOUR_P_CAP_DEFAULT,
     _exhaustive_paintings,
+    CEViolation,
     CircuitSignature,
+    EliminationInstance,
     FourPartition,
     FourPViolation,
     SignaturePair,
@@ -35,7 +38,7 @@ from omlab.oriented import (
     derive_cocircuit_signature,
     induced_sets,
 )
-from omlab.signed_sets import SignedSubset, bits, indices, mask_of
+from omlab.signed_sets import GroundSet, SignedSubset, bits, indices, mask_of
 
 
 def small_instances():
@@ -98,6 +101,345 @@ def test_ce_matches_naive():
     for name, pair in small_instances():
         for sig in (pair.circuit_sig, pair.cocircuit_sig):
             assert bool(check_CE(sig)) == naive_check_ce(sig), name
+
+
+# -- depth-first (C3) and (CE): the union searches the level-set search replaced
+#
+# Both searches deduplicate families by the union of their members.  (C3) pops
+# a stack, so it meets options in reverse order, and then reports the first
+# family in forward order with the union it found; (CE) recurses in forward
+# order.  The level-set search must reproduce both witnesses exactly.
+
+
+def dfs_find_c3_violation(masks):
+    cover_memo = {}
+
+    def cover(allowed):
+        got = cover_memo.get(allowed)
+        if got is None:
+            got = 0
+            for d in masks:
+                if d & ~allowed == 0:
+                    got |= d
+            cover_memo[allowed] = got
+        return got
+
+    for c in masks:
+        xs = list(bits(c))
+        for size in range(1, len(xs) + 1):
+            for x_combo in itertools.combinations(xs, size):
+                x = mask_of(x_combo)
+                cand = [[d for d in masks if d & x == (1 << xi)] for xi in x_combo]
+                if not all(cand):
+                    continue
+                bad_u = dfs_scan_unions(c, x, cand, cover)
+                if bad_u is not None:
+                    u, f = bad_u
+                    return c, x, dfs_family_for_union(cand, u), f
+    return None
+
+
+def dfs_scan_unions(c, x, cand, cover):
+    seen = set()
+    stack = [(0, 0)]
+    while stack:
+        depth, u = stack.pop()
+        if (depth, u) in seen:
+            continue
+        seen.add((depth, u))
+        if depth == len(cand):
+            allowed = (c | u) & ~x
+            for f in bits(c & ~u):
+                if not ((cover(allowed) >> f) & 1):
+                    return u, f
+            continue
+        for d in cand[depth]:
+            stack.append((depth + 1, u | d))
+    return None
+
+
+def dfs_family_for_union(cand, target):
+    def rec(depth, u, picked):
+        if depth == len(cand):
+            return picked if u == target else None
+        for d in cand[depth]:
+            if (u | d) & ~target:
+                continue
+            got = rec(depth + 1, u | d, picked + (d,))
+            if got is not None:
+                return got
+        return None
+
+    got = rec(0, 0, ())
+    if got is None:
+        raise InvariantError("failed to reconstruct elimination family")
+    return got
+
+
+def dfs_c3_verdict(ground, masks):
+    """What validate_circuits returns when (C1) and (C2) hold."""
+    bad = dfs_find_c3_violation(masks)
+    if bad is None:
+        return Matroid._from_valid(ground, masks)
+    c, x, fam, f = bad
+    return CircuitViolation(
+        "C3",
+        (indices(c), indices(x), tuple(indices(d) for d in fam), f),
+        f"no circuit through {f} inside the allowed union for C={sorted(bits(c))}, "
+        f"X={sorted(bits(x))}",
+    )
+
+
+def dfs_check_ce(sig: CircuitSignature, *, cap=CE_CAP_DEFAULT) -> Verdict:
+    n = sig.ground.size
+    if n > cap:
+        raise CapExceededError(f"exhaustive (CE) needs ground size <= {cap} (got {n})")
+    members = sig.member_masks()
+    cover_memo = {}
+
+    def cover(ap, an):
+        got = cover_memo.get((ap, an))
+        if got is None:
+            got = 0
+            for p, m, s in members:
+                if not (p & ~ap or m & ~an):
+                    got |= s
+            cover_memo[(ap, an)] = got
+        return got
+
+    for c in sig.representatives():
+        cp, cm, cs = c.pos, c.neg, c.support
+        xs = list(bits(cs))
+        for size in range(1, len(xs) + 1):
+            for x_combo in itertools.combinations(xs, size):
+                x = mask_of(x_combo)
+                cand = []
+                for xi in x_combo:
+                    xb = 1 << xi
+                    cand.append(
+                        [(p, m) for p, m, s in members if s & x == xb and ((p & xb) if cm & xb else (m & xb))]
+                    )
+                if not all(cand):
+                    continue
+                bad = dfs_ce_scan(cp, cm, cs, x, cand, cover)
+                if bad is not None:
+                    upos, uneg, f = bad
+                    fam = dfs_ce_family_for_union(cand, upos, uneg)
+                    family = {xi: SignedSubset(sig.ground, p, m) for xi, (p, m) in zip(x_combo, fam)}
+                    return Verdict(False, CEViolation(EliminationInstance.of(c, family, f)))
+    return Verdict(True)
+
+
+def dfs_ce_scan(cp, cm, cs, x, cand, cover):
+    seen = set()
+
+    def rec(depth, upos, uneg):
+        if (depth, upos, uneg) in seen:
+            return None
+        seen.add((depth, upos, uneg))
+        if depth == len(cand):
+            frange = cs & ~((cp & uneg) | (cm & upos))
+            if not frange:
+                return None
+            bad = frange & ~cover((cp | upos) & ~x, (cm | uneg) & ~x)
+            return (upos, uneg, (bad & -bad).bit_length() - 1) if bad else None
+        for p, m in cand[depth]:
+            got = rec(depth + 1, upos | p, uneg | m)
+            if got is not None:
+                return got
+        return None
+
+    return rec(0, 0, 0)
+
+
+def dfs_ce_family_for_union(cand, target_pos, target_neg):
+    def rec(depth, upos, uneg, picked):
+        if depth == len(cand):
+            return picked if (upos, uneg) == (target_pos, target_neg) else None
+        for p, m in cand[depth]:
+            if (upos | p) & ~target_pos or (uneg | m) & ~target_neg:
+                continue
+            got = rec(depth + 1, upos | p, uneg | m, picked + ((p, m),))
+            if got is not None:
+                return got
+        return None
+
+    got = rec(0, 0, 0, ())
+    if got is None:
+        raise InvariantError("failed to reconstruct elimination family")
+    return got
+
+
+def scalar_check_ce_sampled(sig: CircuitSignature, trials: int, seed: int) -> tuple[Verdict, int]:
+    """The sampled (CE) scan with a per-member cover loop, and its admissible draws."""
+    reps = sig.representatives()
+    rng = random.Random(seed)
+    members = sig.member_masks()
+    tested = 0
+    for _ in range(trials):
+        c = reps[rng.randrange(len(reps))]
+        support = list(bits(c.support))
+        x_combo = tuple(sorted(rng.sample(support, rng.randrange(1, len(support) + 1))))
+        x = mask_of(x_combo)
+        family = {}
+        upos = uneg = 0
+        for xi in x_combo:
+            xb = 1 << xi
+            options = [
+                (p, m) for p, m, s in members if s & x == xb and ((p & xb) if c.neg & xb else (m & xb))
+            ]
+            if not options:
+                break
+            p, m = options[rng.randrange(len(options))]
+            family[xi] = SignedSubset(sig.ground, p, m)
+            upos |= p
+            uneg |= m
+        else:
+            frange = list(bits(c.support & ~((c.pos & uneg) | (c.neg & upos))))
+            if not frange:
+                continue
+            f = frange[rng.randrange(len(frange))]
+            tested += 1
+            ap = (c.pos | upos) & ~x
+            an = (c.neg | uneg) & ~x
+            if not any((s >> f) & 1 and not (p & ~ap or m & ~an) for p, m, s in members):
+                return Verdict(False, CEViolation(EliminationInstance.of(c, family, f))), tested
+    return Verdict(True), tested
+
+
+def random_clutter(rng: random.Random) -> tuple[GroundSet, tuple[int, ...]]:
+    """An antichain of nonempty sets, so (C1) and (C2) hold and (C3) is decisive."""
+    n = rng.randint(3, 7)
+    sets = {mask_of(rng.sample(range(n), rng.randint(1, min(n, 4)))) for _ in range(rng.randint(2, 9))}
+    masks = [m for m in sets if not any(o != m and o & ~m == 0 for o in sets)]
+    return GroundSet.range(n), tuple(sorted(masks, key=lambda m: tuple(bits(m))))
+
+
+def test_c3_search_matches_dfs_on_random_clutters():
+    failing = 0
+    for seed in range(400):
+        ground, masks = random_clutter(random.Random(seed))
+        want = dfs_c3_verdict(ground, masks)
+        assert validate_circuits(ground, masks) == want, seed
+        failing += isinstance(want, CircuitViolation)
+    assert failing > 50
+
+
+def test_c3_search_matches_dfs_on_pool(instance_pool):
+    seen = set()
+    for inst in instance_pool:
+        m = inst.pair.matroid
+        for side in (m, m.dual()):
+            if side not in seen:
+                seen.add(side)
+                assert validate_circuits(side.ground, side.circuit_masks) == dfs_c3_verdict(
+                    side.ground, side.circuit_masks
+                ), inst.name
+
+
+def test_c3_witness_follows_reverse_order_union():
+    # Eliminating X = {0, 2} from C = {0, 1, 2, 3} with options {014}, {034}
+    # for 0 and {124}, {234} for 2: every family is bad.  The first in
+    # forward order is ({014}, {124}), stranding 3; the depth-first search
+    # pops options in reverse and blames the union {0, 2, 3, 4} instead.
+    ground = GroundSet.range(5)
+    masks = tuple(mask_of(c) for c in ([0, 1, 2, 3], [0, 1, 4], [0, 3, 4], [1, 2, 4], [2, 3, 4]))
+    want = (mask_of([0, 1, 2, 3]), mask_of([0, 2]), (mask_of([0, 3, 4]), mask_of([2, 3, 4])), 1)
+    assert dfs_find_c3_violation(masks) == want
+    assert _find_c3_violation(masks) == want
+    assert validate_circuits(ground, masks) == dfs_c3_verdict(ground, masks)
+
+
+def test_ce_search_matches_dfs_on_pool(instance_pool):
+    failing = 0
+    for inst in instance_pool:
+        for sig in (inst.pair.circuit_sig, inst.pair.cocircuit_sig):
+            got = check_CE(sig)
+            assert got == dfs_check_ce(sig), inst.name
+            failing += not got.ok
+    assert failing == 57  # sides the sign corruption breaks, so witnesses are compared
+
+
+CE_BASES = [
+    alternating_rank2(6),
+    alternating_rank2(7),
+    alternating_rank2(8),
+    graphic_om(fig4_digraph()),
+    graphic_om(fig4_digraph()).reorient(0b101),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(CE_BASES), st.integers(0, 2**32 - 1))
+def test_ce_search_matches_dfs_on_mutants(base, seed):
+    mutant = corrupt_pair(base, random.Random(seed))
+    for sig in (mutant.circuit_sig, mutant.cocircuit_sig):
+        assert check_CE(sig) == dfs_check_ce(sig)
+
+
+@pytest.mark.parametrize("sample, seed", [(1, 0), (40, 3), (300, 11)])
+def test_ce_sampled_matches_scalar(sample, seed):
+    rng = random.Random(sample + seed)
+    alt7 = alternating_rank2(7)
+    for pair in (alt7, corrupt_pair(alt7, rng), corrupt_pair(graphic_om(fig4_digraph()), rng)):
+        for sig in (pair.circuit_sig, pair.cocircuit_sig):
+            want, tested = scalar_check_ce_sampled(sig, sample, seed)
+            got = check_CE(sig, cap=3, sample=sample, seed=seed)
+            assert (got.ok, got.witness) == (want.ok, want.witness)
+            assert got.detail == f"sampled {sample} instances, seed={seed}, {tested} admissible tested"
+
+
+# -- subset-scan dual: the cocircuit search the hyperplane dual replaced
+
+
+def subset_scan_cocircuits(m: Matroid) -> tuple[int, ...]:
+    """Minimal sets whose complement has lower rank, by increasing size."""
+    full = m.ground.full_mask
+    r = m.rank()
+    n = m.ground.size
+    cocircuits = []
+    for size in range(1, n + 1):
+        for combo in itertools.combinations(range(n), size):
+            s = mask_of(combo)
+            if any(u & ~s == 0 for u in cocircuits):
+                continue
+            if m.rank(full & ~s) != r:
+                cocircuits.append(s)
+    return Matroid._from_valid(m.ground, cocircuits).circuit_masks
+
+
+def test_dual_matches_subset_scan_on_pool_minors(instance_pool):
+    matroids = {inst.pair.matroid for inst in instance_pool}
+    minors = set()
+    for m in matroids:
+        n = m.ground.size
+        if n > 6:
+            minors.add(m)
+            continue
+        for states in itertools.product(range(3), repeat=n):
+            spec = MinorSpec.of(
+                contract=[i for i, s in enumerate(states) if s == 1],
+                delete=[i for i, s in enumerate(states) if s == 2],
+            )
+            minors.add(m.minor(spec))
+    for m in minors:
+        assert m.dual().circuit_masks == subset_scan_cocircuits(m), m
+
+
+@pytest.mark.parametrize(
+    "n, circuits, cocircuits",
+    [
+        (0, [], []),  # empty ground set
+        (3, [], [[0], [1], [2]]),  # free: every element is a coloop
+        (3, [[0], [1], [2]], []),  # all loops: rank 0 has no hyperplane
+        (3, [[0, 1]], [[0, 1], [2]]),  # 2 is a coloop
+        (4, [[0], [1, 2]], [[1, 2], [3]]),  # a loop, a parallel pair and a coloop
+    ],
+)
+def test_dual_edge_cases(n, circuits, cocircuits):
+    m = Matroid.from_circuits(GroundSet.range(n), circuits)
+    want = Matroid._from_valid(m.ground, [mask_of(u) for u in cocircuits]).circuit_masks
+    assert m.dual().circuit_masks == want == subset_scan_cocircuits(m)
 
 
 # -- naive (4P) -----------------------------------------------------------------

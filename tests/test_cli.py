@@ -112,6 +112,11 @@ def test_sampled_check_of_circuit_free_matroid(tmp_path, capsys):
     code, out, err = run(capsys, "check", str(om), "--sample", "5")
     assert code == 0 and "Traceback" not in err
     assert "verdict: pass" in out
+    # the sides' details differ, so both are shown
+    assert (
+        "check CE: pass (circuit side: empty family: no elimination instances; "
+        "cocircuit side: sampled 5 instances, seed=0, 0 admissible tested)\n"
+    ) in out
 
 
 @pytest.mark.parametrize("flag", ["--cap-4p", "--cap-ce", "--cap-fa"])

@@ -428,6 +428,9 @@ def test_ce_sampling_on_circuit_free_matroid():
     assert not tree.matroid.circuit_masks
     verdict = check_CE(tree.circuit_sig, sample=5)
     assert verdict and "empty family" in verdict.detail
+    # the cocircuits are singletons: every draw has an empty range of f
+    verdict = check_CE(tree.cocircuit_sig, sample=5)
+    assert verdict and verdict.detail == "sampled 5 instances, seed=0, 0 admissible tested"
 
 
 def test_fa_agrees_with_public_induced_sets():
