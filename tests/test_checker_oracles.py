@@ -15,17 +15,27 @@ from hypothesis import strategies as st
 
 from conftest import corrupt_pair, fig4_digraph, triangle
 from omlab.digraphs import graphic_om
-from omlab.errors import CapExceededError, InvariantError
-from omlab.matroid import CircuitViolation, Matroid, MinorSpec, _find_c3_violation, validate_circuits
+from omlab.errors import CapExceededError, DomainError, InvariantError
+from omlab.matroid import (
+    CircuitViolation,
+    Matroid,
+    MinorSpec,
+    _find_c3_violation,
+    contraction_circuit_masks,
+    validate_circuits,
+)
 from omlab.oriented import (
     CE_CAP_DEFAULT,
+    FA_CAP_DEFAULT,
     FOUR_P_CAP_DEFAULT,
     _exhaustive_paintings,
     CEViolation,
     CircuitSignature,
     EliminationInstance,
+    FAViolation,
     FourPartition,
     FourPViolation,
+    FPViolation,
     SignaturePair,
     Verdict,
     alternating_rank2,
@@ -630,6 +640,140 @@ def naive_check_fa(pair: SignaturePair) -> bool:
 def test_fa_matches_naive():
     for name, pair in small_instances():
         assert bool(check_FA(pair)) == naive_check_fa(pair), name
+
+
+# -- scalar (FA): its own cap, sampling and reorientation loops --------------------------
+#
+# The (FA) scan before it shared the exhaust-or-sample driver.  The driver
+# must reproduce its whole verdict: minor spec, reorientation, FP element
+# and kind, and detail.
+
+
+def scalar_check_fa(pair: SignaturePair, *, cap=FA_CAP_DEFAULT, sample=None, seed=0) -> Verdict:
+    ground = pair.ground
+    n = ground.size
+    if sample is not None:
+        if sample < 1:
+            raise DomainError(f"sampling needs at least one trial (got {sample})")
+    elif n > cap:
+        raise CapExceededError(f"exhaustive (FA) needs ground size <= {cap} (got {n}); use sampling instead")
+    full = ground.full_mask
+    circ_signed = pair.circuit_sig.member_masks()
+    cocirc_signed = pair.cocircuit_sig.member_masks()
+    circuit_masks = pair.matroid.circuit_masks
+    cocircuit_masks = pair.matroid.dual().circuit_masks
+
+    contract_cache = {}
+    dual_contract_cache = {}
+
+    def minor_members(f, g):
+        en = full & ~(f | g)
+        circ_n = contract_cache.get(f)
+        if circ_n is None:
+            circ_n = contraction_circuit_masks(circuit_masks, f)
+            contract_cache[f] = circ_n
+        circ_here = frozenset(c for c in circ_n if not c & g)
+        cocirc_n = dual_contract_cache.get(g)
+        if cocirc_n is None:
+            cocirc_n = contraction_circuit_masks(cocircuit_masks, g)
+            dual_contract_cache[g] = cocirc_n
+        cocirc_here = frozenset(u for u in cocirc_n if not u & f)
+        s_members = [(p & en, m & en) for p, m, s in circ_signed if not s & g and (s & en) in circ_here]
+        t_members = [(p & en, m & en) for p, m, s in cocirc_signed if not s & f and (s & en) in cocirc_here]
+        return en, s_members, t_members
+
+    def fp_fail(en, s_members, t_members, a):
+        cover_s = 0
+        for p, m in s_members:
+            if not ((m & ~a) | (p & a)):
+                cover_s |= p | m
+        cover_t = 0
+        for p, m in t_members:
+            if not ((m & ~a) | (p & a)):
+                cover_t |= p | m
+        both = cover_s & cover_t
+        if both:
+            return (both & -both).bit_length() - 1, "both"
+        neither = en & ~(cover_s | cover_t)
+        if neither:
+            return (neither & -neither).bit_length() - 1, "neither"
+        return None
+
+    def violation(f, g, a, hit, detail):
+        spec = MinorSpec(indices(f), indices(g))
+        return Verdict(False, FAViolation(spec, indices(a), FPViolation(*hit)), detail)
+
+    if sample is not None:
+        rng = random.Random(seed)
+        detail = f"sampled {sample} minor/reorientation pairs, seed={seed}"
+        for _ in range(sample):
+            f = g = 0
+            for i in range(n):
+                state = rng.randrange(3)
+                if state == 1:
+                    f |= 1 << i
+                elif state == 2:
+                    g |= 1 << i
+            en, s_members, t_members = minor_members(f, g)
+            a = 0
+            for i in bits(en):
+                if rng.randrange(2):
+                    a |= 1 << i
+            hit = fp_fail(en, s_members, t_members, a)
+            if hit is not None:
+                return violation(f, g, a, hit, detail)
+        return Verdict(True, detail=detail)
+
+    for states in itertools.product(range(3), repeat=n):
+        f = g = 0
+        for i, st in enumerate(states):
+            if st == 1:
+                f |= 1 << i
+            elif st == 2:
+                g |= 1 << i
+        en, s_members, t_members = minor_members(f, g)
+        positions = list(bits(en))
+        for k in range(1 << len(positions)):
+            a = 0
+            kk = k
+            while kk:  # deposit the bits of k onto the kept positions
+                low = kk & -kk
+                a |= 1 << positions[low.bit_length() - 1]
+                kk ^= low
+            hit = fp_fail(en, s_members, t_members, a)
+            if hit is not None:
+                return violation(f, g, a, hit, "")
+    return Verdict(True)
+
+
+def test_fa_matches_scalar_on_pool(instance_pool):
+    failing = 0
+    for inst in instance_pool:
+        got = check_FA(inst.pair)
+        assert got == scalar_check_fa(inst.pair), inst.name
+        failing += not got.ok
+    assert failing == 80  # the sign-corrupted mutants, so witnesses are compared
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([alternating_rank2(5), graphic_om(fig4_digraph()), graphic_om(fig4_digraph()).reorient(0b101)]),
+    st.integers(0, 2**32 - 1),
+)
+def test_fa_matches_scalar_on_mutants(base, seed):
+    mutant = corrupt_pair(base, random.Random(seed))
+    assert check_FA(mutant) == scalar_check_fa(mutant)
+
+
+@pytest.mark.parametrize("sample", [1, 37, 400])
+@pytest.mark.parametrize("seed", [0, 5, 91])
+def test_fa_sampled_matches_scalar(sample, seed):
+    rng = random.Random(sample * 1000 + seed)
+    alt6 = alternating_rank2(6)
+    pairs = [alt6, corrupt_pair(alt6, rng), corrupt_pair(graphic_om(fig4_digraph()), rng)]
+    for pair in pairs:
+        got = check_FA(pair, cap=3, sample=sample, seed=seed)
+        assert got == scalar_check_fa(pair, cap=3, sample=sample, seed=seed)
 
 
 # -- uniqueness by exhaustive enumeration ------------------------------------------
