@@ -110,24 +110,48 @@ def cycle_representatives(d: Digraph) -> list[SignedSubset]:
 
 def _components(d: Digraph, vertex_mask: int) -> list[int]:
     """Connected components of the underlying graph induced on ``vertex_mask``."""
-    inc = d._incidence()
+    adj = [
+        [(a, other) for a, other, _ in arcs if vertex_mask >> other & 1] if vertex_mask >> v & 1 else []
+        for v, arcs in enumerate(d._incidence())
+    ]
     seen = 0
     comps = []
     for v in bits(vertex_mask):
-        if seen & (1 << v):
-            continue
-        comp = 1 << v
-        queue = deque([v])
-        while queue:
-            u = queue.popleft()
-            for _, other, _ in inc[u]:
-                b = 1 << other
-                if vertex_mask & b and not comp & b:
-                    comp |= b
-                    queue.append(other)
-        seen |= comp
-        comps.append(comp)
+        if not seen >> v & 1:
+            comp, _ = _bfs(adj, v)
+            seen |= comp
+            comps.append(comp)
     return comps
+
+
+def _arc_adjacency(d: Digraph, arcs: Iterable[int]):
+    """Per vertex: (arc, head) for the given arcs leaving it, (arc, tail) for those entering it."""
+    vid = d._vertex_index()
+    succ: list[list[tuple[int, int]]] = [[] for _ in d.vertices]
+    pred: list[list[tuple[int, int]]] = [[] for _ in d.vertices]
+    for a in arcs:
+        t, h = d.arcs[a]
+        succ[vid[t]].append((a, vid[h]))
+        pred[vid[h]].append((a, vid[t]))
+    return succ, pred
+
+
+def _bfs(adj: Sequence[Sequence[tuple[int, int]]], start: int) -> tuple[int, dict[int, tuple[int, int]]]:
+    """Vertices reachable from ``start`` over (arc, next vertex) lists, with BFS parents.
+
+    ``parents[w]`` is the (arc, vertex) pair through which w was first reached.
+    """
+    reach = 1 << start
+    parents: dict[int, tuple[int, int]] = {}
+    queue = deque([start])
+    while queue:
+        u = queue.popleft()
+        for a, w in adj[u]:
+            if not reach >> w & 1:
+                reach |= 1 << w
+                parents[w] = (a, u)
+                queue.append(w)
+    return reach, parents
 
 
 def bond_representatives(d: Digraph) -> list[SignedSubset]:
@@ -191,41 +215,6 @@ class FarkasCertificate:
     orientation: SignedSubset
 
 
-def _forward_reach(d: Digraph, start: int) -> tuple[int, dict[int, tuple[int, int]]]:
-    """Vertices reachable from ``start`` along arc directions, with BFS parents."""
-    vid = d._vertex_index()
-    succ: list[list[tuple[int, int]]] = [[] for _ in d.vertices]
-    for a, (t, h) in enumerate(d.arcs):
-        succ[vid[t]].append((a, vid[h]))
-    reach = 1 << start
-    parents: dict[int, tuple[int, int]] = {}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for a, w in succ[u]:
-            if not reach >> w & 1:
-                reach |= 1 << w
-                parents[w] = (a, u)
-                queue.append(w)
-    return reach, parents
-
-
-def _backward_reach(d: Digraph, start: int) -> int:
-    vid = d._vertex_index()
-    pred: list[list[int]] = [[] for _ in d.vertices]
-    for a, (t, h) in enumerate(d.arcs):
-        pred[vid[h]].append(vid[t])
-    reach = 1 << start
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for w in pred[u]:
-            if not reach >> w & 1:
-                reach |= 1 << w
-                queue.append(w)
-    return reach
-
-
 def minty_certificate(d: Digraph, arc: str) -> FarkasCertificate:
     """Exactly one of: a directed cycle or a directed bond through the arc.
 
@@ -238,8 +227,9 @@ def minty_certificate(d: Digraph, arc: str) -> FarkasCertificate:
     vid = d._vertex_index()
     tail, head = (vid[v] for v in d.arcs[a0])
     ground = d.ground
-    forward, parents = _forward_reach(d, head)
-    backward = _backward_reach(d, tail)
+    succ, pred = _arc_adjacency(d, range(len(d.arcs)))
+    forward, parents = _bfs(succ, head)
+    backward, _ = _bfs(pred, tail)
     if forward & backward:
         if not forward >> tail & 1:
             raise InvariantError("arborescences meet but the tail is unreachable")
@@ -316,7 +306,6 @@ def decompose_nonneg_flow(d: Digraph, flow: Mapping[str, int]) -> list[tuple[fro
         raise DomainError("flow is not non-negative")
     if not is_flow(d, flow):
         raise DomainError(f"not a flow: cocircuit {_violated_bond(d, vals)} has a nonzero sum")
-    vid = d._vertex_index()
     out: list[tuple[frozenset[str], int]] = []
     while True:
         support = [a for a, v in enumerate(vals) if v > 0]
@@ -333,24 +322,12 @@ def decompose_nonneg_flow(d: Digraph, flow: Mapping[str, int]) -> list[tuple[fro
 def _directed_cycle_in(d: Digraph, support: Sequence[int]) -> list[int]:
     """Least-anchored directed cycle using only the given arcs."""
     vid = d._vertex_index()
-    succ: list[list[tuple[int, int]]] = [[] for _ in d.vertices]
-    for a in support:
-        t, h = d.arcs[a]
-        succ[vid[t]].append((a, vid[h]))
+    succ, _ = _arc_adjacency(d, support)
     for a0 in sorted(support):
         t, h = d.arcs[a0]
         start, goal = vid[h], vid[t]
-        parents: dict[int, tuple[int, int]] = {}
-        reach = 1 << start
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for a, w in succ[u]:
-                if a == a0 or reach >> w & 1:
-                    continue
-                reach |= 1 << w
-                parents[w] = (a, u)
-                queue.append(w)
+        # a0 itself only leads back to start, so the search never takes it
+        reach, parents = _bfs(succ, start)
         if reach >> goal & 1:
             cycle = [a0]
             v = goal

@@ -552,15 +552,52 @@ def check_FP(
             raise GroundMismatchError("FP sides live on different ground sets")
         if y.is_positive():
             t_cover |= y.pos
+    fp = _fp_violation(s_cover, t_cover, ground.full_mask)
+    return Verdict(True) if fp is None else Verdict(False, fp)
+
+
+def _fp_violation(s_cover: int, t_cover: int, ground_mask: int) -> FPViolation | None:
+    """The first element both sides cover, else the first neither side covers."""
     both = s_cover & t_cover
     if both:
-        e = (both & -both).bit_length() - 1
-        return Verdict(False, FPViolation(e, "both"))
-    neither = ground.full_mask & ~(s_cover | t_cover)
+        return FPViolation((both & -both).bit_length() - 1, "both")
+    neither = ground_mask & ~(s_cover | t_cover)
     if neither:
-        e = (neither & -neither).bit_length() - 1
-        return Verdict(False, FPViolation(e, "neither"))
-    return Verdict(True)
+        return FPViolation((neither & -neither).bit_length() - 1, "neither")
+    return None
+
+
+# ---------------------------------------------------------------------------
+# exhaust or sample: the cap, sampling and batch loop shared by (4P), (CE) and (FA)
+
+
+def _exhaust_or_sample(
+    axiom: str, unit: str, n: int, cap: int, sample: int | None, seed: int, exhaustive, sampled, first_bad
+) -> Verdict:
+    """Run a checker exhaustively up to the cap, or on ``sample`` seeded draws.
+
+    ``exhaustive()`` yields the checker's batches in enumeration order and
+    ``sampled(rng)`` draws its batches from one ``random.Random(seed)``;
+    ``first_bad(batch)`` returns the batch's first witness or None.  The
+    verdict carries the first witness of the first failing batch.
+    """
+    if sample is not None:
+        if sample < 1:
+            raise DomainError(f"sampling needs at least one trial (got {sample})")
+        batches = sampled(random.Random(seed))
+        detail = f"sampled {sample} {unit}, seed={seed}"
+    elif n > cap:
+        raise CapExceededError(
+            f"exhaustive ({axiom}) needs ground size <= {cap} (got {n}); use sampling instead"
+        )
+    else:
+        batches = exhaustive()
+        detail = ""
+    for batch in batches:
+        witness = first_bad(batch)
+        if witness is not None:
+            return Verdict(False, witness, detail)
+    return Verdict(True, detail=detail)
 
 
 # ---------------------------------------------------------------------------
@@ -640,13 +677,12 @@ def _exhaustive_paintings(n: int):
         yield planes, full, lambda j, prefix=prefix: prefix + tuple((j >> 2 * q) & 3 for q in digits)
 
 
-def _sampled_paintings(n: int, sample: int, seed: int):
-    """Batches (planes, full, colors_of) of ``sample`` seeded random paintings.
+def _sampled_paintings(n: int, sample: int, rng: random.Random):
+    """Batches (planes, full, colors_of) of ``sample`` random paintings.
 
     Draws ``rng.randrange(4)`` per element, painting by painting; bit j of a
     batch is its j-th painting.
     """
-    rng = random.Random(seed)
     for start in range(0, sample, _SAMPLE_BATCH):
         count = min(_SAMPLE_BATCH, sample - start)
         draws = bytes(rng.randrange(4) for _ in range(count * n))
@@ -682,38 +718,28 @@ def check_4P(
     """
     ground = pair.ground
     n = ground.size
-    if sample is not None:
-        _check_sample(sample)
-        batches = _sampled_paintings(n, sample, seed)
-        detail = f"sampled {sample} partitions, seed={seed}"
-    elif n > cap:
-        raise CapExceededError(
-            f"exhaustive (4P) needs ground size <= {cap} (got {n}); use sampling instead"
-        )
-    else:
-        batches = _exhaustive_paintings(n)
-        detail = ""
     circ_pairs = pair.circuit_sig.pair_masks()
     cocirc_pairs = pair.cocircuit_sig.pair_masks()
-    for planes, full, colors_of in batches:
+
+    def first_bad(batch) -> FourPViolation | None:
+        planes, full, colors_of = batch
         bad = _paint_bad(circ_pairs, cocirc_pairs, planes, full)
         any_bad = 0
         for x in bad:
             any_bad |= x
-        if any_bad:
-            j = (any_bad & -any_bad).bit_length() - 1
-            e = next(e for e, x in enumerate(bad) if x >> j & 1)
-            masks = [0, 0, 0, 0]
-            for i, col in enumerate(colors_of(j)):
-                masks[col] |= 1 << i
-            part = FourPartition.from_masks(ground, *masks)
-            return Verdict(False, FourPViolation(part, e), detail)
-    return Verdict(True, detail=detail)
+        if not any_bad:
+            return None
+        j = (any_bad & -any_bad).bit_length() - 1
+        e = next(e for e, x in enumerate(bad) if x >> j & 1)
+        masks = [0, 0, 0, 0]
+        for i, col in enumerate(colors_of(j)):
+            masks[col] |= 1 << i
+        return FourPViolation(FourPartition.from_masks(ground, *masks), e)
 
-
-def _check_sample(sample: int) -> None:
-    if sample < 1:
-        raise DomainError(f"sampling needs at least one trial (got {sample})")
+    return _exhaust_or_sample(
+        "4P", "partitions", n, cap, sample, seed,
+        lambda: _exhaustive_paintings(n), lambda rng: _sampled_paintings(n, sample, rng), first_bad,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -731,104 +757,88 @@ def check_CE(
     OR of its members, so ``matroid._first_bad_family`` searches the
     distinct unions and returns the first failing family in enumeration
     order, and the bit-sliced ``matroid._cover`` tells which retained
-    elements an admissible member covers.
+    elements an admissible member covers.  A sampled draw is one such
+    instance with one drawn member per level and one drawn retained element.
     """
-    n = sig.ground.size
-    if sample is not None:
-        _check_sample(sample)
-        return _check_ce_sampled(sig, sample, seed)
-    if n > cap:
-        raise CapExceededError(
-            f"exhaustive (CE) needs ground size <= {cap} (got {n}); use sampling instead"
-        )
+    ground = sig.ground
+    n = ground.size
+    full = ground.full_mask
+    reps = sig.representatives()
     packed = [p | m << n for p, m, _ in sig.member_masks()]
     cover = _cover(packed, n)
-    full = sig.ground.full_mask
     # members whose negative / positive part contains e: the options against a
     # positive / negative sign of C at e
     against = [
         ([d for d in packed if d >> (e + n) & 1], [d for d in packed if d >> e & 1]) for e in range(n)
     ]
-    for c in sig.representatives():
-        cp, cm, cs = c.pos, c.neg, c.support
+    tested = 0  # sampled draws with a nonempty range of f, as opposed to skipped ones
+
+    def options(cm: int, x_combo: tuple[int, ...]) -> list[list[int]]:
+        x = mask_of(x_combo)
+        xx = x | x << n
+        cand = []
+        for xi in x_combo:
+            others = xx & ~(1 << xi | 1 << (xi + n))
+            cand.append([d for d in against[xi][cm >> xi & 1] if not d & others])
+        return cand
+
+    def exhaustive():
+        for c in reps:
+            xs = list(bits(c.support))
+            for size in range(1, len(xs) + 1):
+                for x_combo in itertools.combinations(xs, size):
+                    cand = options(c.neg, x_combo)
+                    if all(cand):
+                        yield c, x_combo, cand, c.support
+
+    def sampled(rng: random.Random):
+        nonlocal tested
+        if not reps:
+            return
+        for _ in range(sample):
+            c = reps[rng.randrange(len(reps))]
+            support = list(bits(c.support))
+            x_combo = tuple(sorted(rng.sample(support, rng.randrange(1, len(support) + 1))))
+            family = []
+            u = 0
+            for level in options(c.neg, x_combo):
+                if not level:
+                    break
+                d = level[rng.randrange(len(level))]
+                family.append([d])
+                u |= d
+            else:
+                frange = list(bits(c.support & ~((c.pos & u >> n) | (c.neg & u))))
+                if frange:
+                    tested += 1
+                    yield c, x_combo, family, 1 << frange[rng.randrange(len(frange))]
+
+    def first_bad(batch) -> CEViolation | None:
+        # ``keep``: the elements C may retain, all of C or the one drawn
+        c, x_combo, cand, keep = batch
+        cp, cm = c.pos, c.neg
         ck = cp | cm << n
-        xs = list(bits(cs))
-        for size in range(1, len(xs) + 1):
-            for x_combo in itertools.combinations(xs, size):
-                x = mask_of(x_combo)
-                xx = x | x << n
-                cand = []
-                for xi in x_combo:
-                    others = xx & ~(1 << xi | 1 << (xi + n))
-                    cand.append([d for d in against[xi][cm >> xi & 1] if not d & others])
-                if not all(cand):
-                    continue
+        x = mask_of(x_combo)
+        xx = x | x << n
 
-                def bad(u: int) -> int:
-                    frange = cs & ~((cp & u >> n) | (cm & u))
-                    return frange and frange & ~cover((ck | u) & ~xx)
+        def bad(u: int) -> int:
+            frange = keep & ~((cp & u >> n) | (cm & u))
+            return frange and frange & ~cover((ck | u) & ~xx)
 
-                found = _first_bad_family(cand, bad)
-                if found is None:
-                    continue
-                fam, u = found
-                got = bad(u)
-                inst = EliminationInstance.of(
-                    c,
-                    {xi: SignedSubset(sig.ground, d & full, d >> n) for xi, d in zip(x_combo, fam)},
-                    (got & -got).bit_length() - 1,
-                )
-                return Verdict(False, CEViolation(inst))
-    return Verdict(True)
+        found = _first_bad_family(cand, bad)
+        if found is None:
+            return None
+        fam, u = found
+        got = bad(u)
+        family = {xi: SignedSubset(ground, d & full, d >> n) for xi, d in zip(x_combo, fam)}
+        return CEViolation(EliminationInstance.of(c, family, (got & -got).bit_length() - 1))
 
-
-def _check_ce_sampled(sig: CircuitSignature, trials: int, seed: int) -> Verdict:
-    reps = sig.representatives()
+    verdict = _exhaust_or_sample("CE", "instances", n, cap, sample, seed, exhaustive, sampled, first_bad)
+    if sample is None:
+        return verdict
     if not reps:
         return Verdict(True, detail="empty family: no elimination instances")
-    rng = random.Random(seed)
-    members = sig.member_masks()
-    n = sig.ground.size
-    cover = _cover((p | m << n for p, m, _ in members), n)
-    detail = f"sampled {trials} instances, seed={seed}"
-    tested = 0  # draws with a nonempty range of f, as opposed to skipped ones
-    for _ in range(trials):
-        c = reps[rng.randrange(len(reps))]
-        support = list(bits(c.support))
-        size = rng.randrange(1, len(support) + 1)
-        x_combo = tuple(sorted(rng.sample(support, size)))
-        x = mask_of(x_combo)
-        family = {}
-        upos = uneg = 0
-        ok = True
-        for xi in x_combo:
-            xb = 1 << xi
-            options = [
-                (p, m, s)
-                for p, m, s in members
-                if s & x == xb and ((p & xb) if c.neg & xb else (m & xb))
-            ]
-            if not options:
-                ok = False
-                break
-            p, m, s = options[rng.randrange(len(options))]
-            family[xi] = SignedSubset(sig.ground, p, m)
-            upos |= p
-            uneg |= m
-        if not ok:
-            continue
-        sepu = (c.pos & uneg) | (c.neg & upos)
-        frange = list(bits(c.support & ~sepu))
-        if not frange:
-            continue
-        f = frange[rng.randrange(len(frange))]
-        tested += 1
-        ap = (c.pos | upos) & ~x
-        an = (c.neg | uneg) & ~x
-        if not cover(ap | an << n) >> f & 1:
-            inst = EliminationInstance.of(c, family, f)
-            return Verdict(False, CEViolation(inst), f"{detail}, {tested} admissible tested")
-    return Verdict(True, detail=f"{detail}, {tested} admissible tested")
+    return Verdict(verdict.ok, verdict.witness, f"{verdict.detail}, {tested} admissible tested")
 
 
 # ---------------------------------------------------------------------------
@@ -845,12 +855,6 @@ def check_FA(
     """
     ground = pair.ground
     n = ground.size
-    if sample is not None:
-        _check_sample(sample)
-    elif n > cap:
-        raise CapExceededError(
-            f"exhaustive (FA) needs ground size <= {cap} (got {n}); use sampling instead"
-        )
     full = ground.full_mask
     circ_signed = pair.circuit_sig.member_masks()
     cocirc_signed = pair.cocircuit_sig.member_masks()
@@ -859,7 +863,22 @@ def check_FA(
     contract_cache: dict[int, tuple[int, ...]] = {}
     dual_contract_cache: dict[int, tuple[int, ...]] = {}
 
-    def minor_members(f: int, g: int):
+    def exhaustive():
+        for states in itertools.product(range(3), repeat=n):
+            f, g = _minor_masks(states)
+            yield f, g, _submasks(full & ~(f | g))
+
+    def sampled(rng: random.Random):
+        for _ in range(sample):
+            f, g = _minor_masks([rng.randrange(3) for _ in range(n)])
+            a = 0
+            for i in bits(full & ~(f | g)):
+                if rng.randrange(2):
+                    a |= 1 << i
+            yield f, g, (a,)
+
+    def first_bad(batch) -> FAViolation | None:
+        f, g, reorientations = batch
         en = full & ~(f | g)
         circ_n = contract_cache.get(f)
         if circ_n is None:
@@ -871,82 +890,47 @@ def check_FA(
             cocirc_n = contraction_circuit_masks(cocircuit_masks, g)
             dual_contract_cache[g] = cocirc_n
         cocirc_here = frozenset(u for u in cocirc_n if not u & f)
-        s_members = [
-            (p & en, m & en)
-            for p, m, s in circ_signed
-            if not s & g and (s & en) in circ_here
-        ]
-        t_members = [
-            (p & en, m & en)
-            for p, m, s in cocirc_signed
-            if not s & f and (s & en) in cocirc_here
-        ]
-        return en, s_members, t_members
-
-    def fp_fail(en: int, s_members, t_members, a: int):
-        cover_s = 0
-        for p, m in s_members:
-            if not ((m & ~a) | (p & a)):
-                cover_s |= p | m
-        cover_t = 0
-        for p, m in t_members:
-            if not ((m & ~a) | (p & a)):
-                cover_t |= p | m
-        both = cover_s & cover_t
-        if both:
-            return (both & -both).bit_length() - 1, "both"
-        neither = en & ~(cover_s | cover_t)
-        if neither:
-            return (neither & -neither).bit_length() - 1, "neither"
+        s_members = [(p & en, m & en) for p, m, s in circ_signed if not s & g and (s & en) in circ_here]
+        t_members = [(p & en, m & en) for p, m, s in cocirc_signed if not s & f and (s & en) in cocirc_here]
+        for a in reorientations:
+            # reorienting a makes a member positive when a meets its support in its negative part
+            cover_s = 0
+            for p, m in s_members:
+                if not ((m & ~a) | (p & a)):
+                    cover_s |= p | m
+            cover_t = 0
+            for p, m in t_members:
+                if not ((m & ~a) | (p & a)):
+                    cover_t |= p | m
+            fp = _fp_violation(cover_s, cover_t, en)
+            if fp is not None:
+                return FAViolation(MinorSpec(indices(f), indices(g)), indices(a), fp)
         return None
 
-    def violation(f: int, g: int, a: int, hit) -> Verdict:
-        e, kind = hit
-        spec = MinorSpec(indices(f), indices(g))
-        return Verdict(False, FAViolation(spec, indices(a), FPViolation(e, kind)))
+    return _exhaust_or_sample(
+        "FA", "minor/reorientation pairs", n, cap, sample, seed, exhaustive, sampled, first_bad
+    )
 
-    if sample is not None:
-        rng = random.Random(seed)
-        detail = f"sampled {sample} minor/reorientation pairs, seed={seed}"
-        for _ in range(sample):
-            f = g = 0
-            for i in range(n):
-                state = rng.randrange(3)
-                if state == 1:
-                    f |= 1 << i
-                elif state == 2:
-                    g |= 1 << i
-            en, s_members, t_members = minor_members(f, g)
-            a = 0
-            for i in bits(en):
-                if rng.randrange(2):
-                    a |= 1 << i
-            hit = fp_fail(en, s_members, t_members, a)
-            if hit is not None:
-                v = violation(f, g, a, hit)
-                return Verdict(False, v.witness, detail)
-        return Verdict(True, detail=detail)
 
-    for states in itertools.product(range(3), repeat=n):
-        f = g = 0
-        for i, st in enumerate(states):
-            if st == 1:
-                f |= 1 << i
-            elif st == 2:
-                g |= 1 << i
-        en, s_members, t_members = minor_members(f, g)
-        positions = list(bits(en))
-        for k in range(1 << len(positions)):
-            a = 0
-            kk = k
-            while kk:
-                low = kk & -kk
-                a |= 1 << positions[low.bit_length() - 1]
-                kk ^= low
-            hit = fp_fail(en, s_members, t_members, a)
-            if hit is not None:
-                return violation(f, g, a, hit)
-    return Verdict(True)
+def _minor_masks(states) -> tuple[int, int]:
+    """Contract and delete masks of a keep (0) / contract (1) / delete (2) assignment."""
+    f = g = 0
+    for i, st in enumerate(states):
+        if st == 1:
+            f |= 1 << i
+        elif st == 2:
+            g |= 1 << i
+    return f, g
+
+
+def _submasks(m: int):
+    """Every submask of ``m`` in increasing order."""
+    a = 0
+    while True:
+        yield a
+        a = (a - m) & m
+        if not a:
+            return
 
 
 def fa_gap_witness(

@@ -399,6 +399,22 @@ def test_ce_sampled_matches_scalar(sample, seed):
             assert got.detail == f"sampled {sample} instances, seed={seed}, {tested} admissible tested"
 
 
+def test_ce_sampled_matches_scalar_on_pool(instance_pool):
+    # small graphic and line instances have eliminated elements without
+    # options, where the draws for the levels before them must still be made
+    failing = 0
+    for index, inst in enumerate(instance_pool):
+        for sig in (inst.pair.circuit_sig, inst.pair.cocircuit_sig):
+            if not sig.representatives():
+                continue
+            want, tested = scalar_check_ce_sampled(sig, 40, index)
+            got = check_CE(sig, cap=3, sample=40, seed=index)
+            assert (got.ok, got.witness) == (want.ok, want.witness), inst.name
+            assert got.detail == f"sampled 40 instances, seed={index}, {tested} admissible tested"
+            failing += not got.ok
+    assert failing > 20
+
+
 # -- subset-scan dual: the cocircuit search the hyperplane dual replaced
 
 
@@ -644,9 +660,9 @@ def test_fa_matches_naive():
 
 # -- scalar (FA): its own cap, sampling and reorientation loops --------------------------
 #
-# The (FA) scan before it shared the exhaust-or-sample driver.  The driver
-# must reproduce its whole verdict: minor spec, reorientation, FP element
-# and kind, and detail.
+# The (FA) scan from before check_FA shared its cap test, sampling and batch
+# loop with (4P) and (CE).  check_FA must reproduce its whole verdict: minor
+# spec, reorientation, FP element and kind, and detail.
 
 
 def scalar_check_fa(pair: SignaturePair, *, cap=FA_CAP_DEFAULT, sample=None, seed=0) -> Verdict:

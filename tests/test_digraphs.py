@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 
@@ -10,11 +11,13 @@ from omlab.digraphs import (
     cycle_representatives,
     decompose_nonneg_flow,
     disjoint_cocircuit_decomposition,
+    FarkasCertificate,
+    _components,
     graphic_om,
     is_flow,
     minty_certificate,
 )
-from omlab.errors import DomainError
+from omlab.errors import DomainError, InvariantError
 from omlab.oriented import check_4P, check_CE, check_FA, check_FP, check_orthogonality
 from omlab.signed_sets import SignedSubset, bits
 
@@ -256,3 +259,166 @@ def test_cocircuit_decomposition_properties_random():
         assert union == g.support
         checked += 1
     assert checked >= 5
+
+
+# -- the four BFS variants the shared search replaced ------------------------------------
+
+
+def old_forward_reach(d: Digraph, start: int):
+    vid = d._vertex_index()
+    succ = [[] for _ in d.vertices]
+    for a, (t, h) in enumerate(d.arcs):
+        succ[vid[t]].append((a, vid[h]))
+    reach = 1 << start
+    parents = {}
+    queue = deque([start])
+    while queue:
+        u = queue.popleft()
+        for a, w in succ[u]:
+            if not reach >> w & 1:
+                reach |= 1 << w
+                parents[w] = (a, u)
+                queue.append(w)
+    return reach, parents
+
+
+def old_backward_reach(d: Digraph, start: int) -> int:
+    vid = d._vertex_index()
+    pred = [[] for _ in d.vertices]
+    for a, (t, h) in enumerate(d.arcs):
+        pred[vid[h]].append(vid[t])
+    reach = 1 << start
+    queue = deque([start])
+    while queue:
+        u = queue.popleft()
+        for w in pred[u]:
+            if not reach >> w & 1:
+                reach |= 1 << w
+                queue.append(w)
+    return reach
+
+
+def old_components(d: Digraph, vertex_mask: int) -> list[int]:
+    inc = d._incidence()
+    seen = 0
+    comps = []
+    for v in bits(vertex_mask):
+        if seen & (1 << v):
+            continue
+        comp = 1 << v
+        queue = deque([v])
+        while queue:
+            u = queue.popleft()
+            for _, other, _ in inc[u]:
+                b = 1 << other
+                if vertex_mask & b and not comp & b:
+                    comp |= b
+                    queue.append(other)
+        seen |= comp
+        comps.append(comp)
+    return comps
+
+
+def old_directed_cycle_in(d: Digraph, support) -> list[int]:
+    vid = d._vertex_index()
+    succ = [[] for _ in d.vertices]
+    for a in support:
+        t, h = d.arcs[a]
+        succ[vid[t]].append((a, vid[h]))
+    for a0 in sorted(support):
+        t, h = d.arcs[a0]
+        start, goal = vid[h], vid[t]
+        parents = {}
+        reach = 1 << start
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for a, w in succ[u]:
+                if a == a0 or reach >> w & 1:
+                    continue
+                reach |= 1 << w
+                parents[w] = (a, u)
+                queue.append(w)
+        if reach >> goal & 1:
+            cycle = [a0]
+            v = goal
+            while v != start:
+                a, u = parents[v]
+                cycle.append(a)
+                v = u
+            return cycle
+    raise InvariantError("positive circulation support contains no directed cycle")
+
+
+def old_minty_certificate(d: Digraph, arc: str) -> FarkasCertificate:
+    a0 = d.arc_index(arc)
+    vid = d._vertex_index()
+    tail, head = (vid[v] for v in d.arcs[a0])
+    ground = d.ground
+    forward, parents = old_forward_reach(d, head)
+    backward = old_backward_reach(d, tail)
+    if forward & backward:
+        arcs_mask = 1 << a0
+        v = tail
+        while v != head:
+            a, u = parents[v]
+            arcs_mask |= 1 << a
+            v = u
+        return FarkasCertificate(
+            "directed-cycle", frozenset(ground.labels_of(arcs_mask)), SignedSubset(ground, arcs_mask, 0)
+        )
+    head_side = next(c for c in old_components(d, forward) if c >> head & 1)
+    full = (1 << len(d.vertices)) - 1
+    tail_side = next(c for c in old_components(d, full & ~head_side) if c >> tail & 1)
+    arcs_mask = 0
+    for a, (t, h) in enumerate(d.arcs):
+        if tail_side >> vid[t] & 1 and head_side >> vid[h] & 1:
+            arcs_mask |= 1 << a
+    return FarkasCertificate(
+        "directed-bond", frozenset(ground.labels_of(arcs_mask)), SignedSubset(ground, arcs_mask, 0)
+    )
+
+
+def old_decompose_nonneg_flow(d: Digraph, flow) -> list[tuple[frozenset[str], int]]:
+    """The peeling loop only: ``flow`` must be a non-negative circulation."""
+    vals = [flow.get(label, 0) for label in d.labels]
+    out = []
+    while True:
+        support = [a for a, v in enumerate(vals) if v > 0]
+        if not support:
+            return out
+        cycle = old_directed_cycle_in(d, support)
+        mult = min(vals[a] for a in cycle)
+        for a in cycle:
+            vals[a] -= mult
+        out.append((frozenset(d.labels[a] for a in cycle), mult))
+
+
+def test_shared_bfs_matches_old_variants(instance_pool):
+    rng = random.Random(20250810)  # replays conftest.build_pool, whose digraphs come first
+    pool = [random_digraph(rng, rng.choice([4, 5, 5, 6, 6, 7])) for _ in range(62)]
+    by_name = {inst.name: inst.pair for inst in instance_pool}
+    assert [graphic_om(d) for d in pool] == [by_name[f"graphic-{k}"] for k in range(62)]
+    kinds = set()
+    peeled = 0
+    for index, d in enumerate([fig4_digraph(), triangle()] + pool):
+        full = (1 << len(d.vertices)) - 1
+        for vertex_mask in range(full + 1):
+            assert _components(d, vertex_mask) == old_components(d, vertex_mask)
+        for label in d.labels:
+            got = minty_certificate(d, label)
+            assert got == old_minty_certificate(d, label), (index, label)
+            kinds.add(got.kind)
+        # non-negative circulations: sums of directed cycles with random multiplicities
+        directed = [c.support for c in cycle_representatives(d) if not c.neg or not c.pos]
+        rng = random.Random(index)
+        for mults in [[1] * len(directed)] + [[rng.randint(0, 3) for _ in directed] for _ in range(5)]:
+            vals = [0] * len(d.arcs)
+            for support, k in zip(directed, mults):
+                for a in bits(support):
+                    vals[a] += k
+            flow = dict(zip(d.labels, vals))
+            got = decompose_nonneg_flow(d, flow)
+            assert got == old_decompose_nonneg_flow(d, flow), (index, mults)
+            peeled += len(got)
+    assert kinds == {"directed-cycle", "directed-bond"} and peeled > 300

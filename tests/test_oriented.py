@@ -423,6 +423,20 @@ def test_sampling_needs_a_trial(sample):
         check_FA(pair, sample=sample)
 
 
+@pytest.mark.parametrize(
+    "axiom, check",
+    [("4P", check_4P), ("CE", lambda pair, **kw: check_CE(pair.circuit_sig, **kw)), ("FA", check_FA)],
+)
+def test_exhaust_or_sample_contract(axiom, check):
+    with pytest.raises(CapExceededError) as info:
+        check(alternating_rank2(5), cap=4)
+    assert str(info.value) == f"exhaustive ({axiom}) needs ground size <= 4 (got 5); use sampling instead"
+    # the trial count is checked first, before CE's empty-family pass
+    forest = graphic_om(Digraph.of(["1", "2", "3"], [("1", "2"), ("2", "3")]))
+    with pytest.raises(DomainError):
+        check(forest, sample=0)
+
+
 def test_ce_sampling_on_circuit_free_matroid():
     tree = graphic_om(Digraph.of(["1", "2", "3"], [("1", "2"), ("2", "3")]))
     assert not tree.matroid.circuit_masks
