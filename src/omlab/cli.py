@@ -1,7 +1,7 @@
 """Command-line surface: axiom checks, generators, and certificate emission.
 
 Exit codes: 0 = all checks pass / operation succeeded, 1 = a check failed
-(with witness), 2 = usage, parse, or complexity-cap errors.
+(with witness), 2 = usage, parse, precondition, or complexity-cap errors.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import formats, oriented
 from .digraphs import graphic_om, minty_certificate
-from .errors import CapExceededError, FormatError, OmlabError
+from .errors import CapExceededError, DomainError, FormatError, OmlabError
 from .lines import neat_prefix, u3_signature
 from .matroid import MinorSpec
 from .oriented import (
@@ -362,7 +362,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except OmlabError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 1
+        return 2 if isinstance(exc, DomainError) else 1  # a broken precondition is no failed check
 
 
 if __name__ == "__main__":

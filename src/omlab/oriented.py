@@ -11,6 +11,7 @@ a ground-size cap and an optional seeded sampling fallback.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from collections import deque
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .errors import CapExceededError, DomainError, GroundMismatchError, InvariantError, ValidationError
-from .matroid import Matroid, MinorSpec, _cover, _first_bad_family, contraction_circuit_masks
+from .matroid import Matroid, MinorSpec, _cover, _first_bad_family
 from .signed_sets import GroundSet, SignedSubset, bits, indices, mask_of
 
 FOUR_P_CAP_DEFAULT = 10
@@ -612,23 +613,19 @@ _SAMPLE_BATCH = 1024  # sampled paintings per pass; small, so a witness stops th
 _COLOR_DIGITS = tuple(bytes(48 + (i == c) for i in range(256)) for c in range(4))  # color c -> b"1"
 
 
-def _paint_bad(
-    circ_pairs: list[tuple[int, int, int]],
-    cocirc_pairs: list[tuple[int, int, int]],
-    planes: list[tuple[int, int, int, int]],
-    full: int,
-) -> list[int]:
+def _paint_bad(circ, cocirc, planes: list[tuple[int, ...]]) -> tuple[list[int], list[int], list[int]]:
     """Per element, the paintings in which it fails the exactly-one alternative.
 
-    ``planes[e]`` holds element e's (B, W, G, R) planes and ``full`` has one
-    bit per painting.  A circuit (cocircuit) serves a painting when it avoids
-    R (G) and its signs agree, up to a global sign, with B positive and W
-    negative.
+    ``planes[e]`` holds element e's (B, W, G, R) planes; ``circ`` and
+    ``cocirc`` hold (pos, neg, support, live).  A circuit (cocircuit) serves
+    the paintings of ``live`` where it avoids R (G) and its signs agree, up
+    to a global sign, with B positive and W negative.  Also returns, per
+    element, where served circuits and served cocircuits pass through it.
     """
 
-    def served(pairs, avoid: int) -> list[int]:
+    def served(members, avoid: int) -> list[int]:
         out = [0] * len(planes)
-        for p, m, s in pairs:
+        for p, m, s, live in members:
             blocked = plus_bad = minus_bad = 0
             for e in bits(p):
                 col = planes[e]
@@ -640,15 +637,29 @@ def _paint_bad(
                 blocked |= col[avoid]
                 plus_bad |= col[0]
                 minus_bad |= col[1]
-            hit = full ^ (blocked | (plus_bad & minus_bad))
+            hit = live & ~(blocked | (plus_bad & minus_bad))
             if hit:
                 for e in bits(s):
                     out[e] |= hit
         return out
 
-    us = served(circ_pairs, 3)
-    ut = served(cocirc_pairs, 2)
-    return [(b | w) & ~(us[e] ^ ut[e]) for e, (b, w, _, _) in enumerate(planes)]
+    us = served(circ, 3)
+    ut = served(cocirc, 2)
+    return [(b | w) & ~(x ^ y) for (b, w, _, _), x, y in zip(planes, us, ut)], us, ut
+
+
+@functools.cache
+def _block_suffix(k: int) -> tuple[tuple[int, int, int, int], ...]:
+    """The (B, W, G, R) planes of the last k elements over a block's 4^k paintings."""
+    ones = (1 << 4**k) - 1
+    suffix = []
+    for q in range(k - 1, -1, -1):  # element n - k + t is base-4 digit k - 1 - t of j
+        run = 4**q
+        # digit q of j is 0 (black) on the first run bits of every 4 * run, and
+        # ones // (2^(4 run) - 1) has bit 0 of every 4 * run set
+        black = ones // ((1 << 4 * run) - 1) * ((1 << run) - 1)
+        suffix.append(tuple(black << c * run for c in range(4)))
+    return tuple(suffix)
 
 
 def _exhaustive_paintings(n: int):
@@ -659,37 +670,23 @@ def _exhaustive_paintings(n: int):
     bit j of a block is the block's j-th painting in the same order.
     """
     k = min(n, _BLOCK_ELEMENTS)
-    width = 4**k
-    full = (1 << width) - 1
-    digits = range(k - 1, -1, -1)  # element n - k + t is base-4 digit k - 1 - t of j
-    suffix = []
-    for q in digits:
-        run = 4**q
-        # digit q of j is 0 (black) on the first run bits of every 4 * run
-        black, span = (1 << run) - 1, 4 * run
-        while span < width:
-            black |= black << span
-            span *= 2
-        suffix.append(tuple(black << c * run for c in range(4)))
-    constant = [tuple(full if c == col else 0 for c in range(4)) for col in range(4)]
+    full = (1 << 4**k) - 1
+    digits = range(k - 1, -1, -1)
+    constant = [(full, 0, 0, 0), (0, full, 0, 0), (0, 0, full, 0), (0, 0, 0, full)]
     for prefix in itertools.product(range(4), repeat=n - k):
-        planes = [constant[col] for col in prefix] + suffix
+        planes = [constant[col] for col in prefix] + [*_block_suffix(k)]
         yield planes, full, lambda j, prefix=prefix: prefix + tuple((j >> 2 * q) & 3 for q in digits)
 
 
-def _sampled_paintings(n: int, sample: int, rng: random.Random):
-    """Batches (planes, full, colors_of) of ``sample`` random paintings.
+def _sampled_paintings(n: int, sample: int, paint):
+    """Batches (planes, full, colors_of) of ``sample`` paintings, each ``paint()``'s n colors.
 
-    Draws ``rng.randrange(4)`` per element, painting by painting; bit j of a
-    batch is its j-th painting.
+    Bit j of a batch is its j-th painting.
     """
     for start in range(0, sample, _SAMPLE_BATCH):
         count = min(_SAMPLE_BATCH, sample - start)
-        draws = bytes(rng.randrange(4) for _ in range(count * n))
-        planes = [
-            tuple(int(draws[e::n].translate(digits)[::-1], 2) for digits in _COLOR_DIGITS)
-            for e in range(n)
-        ]
+        draws = b"".join(bytes(paint()) for _ in range(count))
+        planes = [tuple(int(draws[e::n].translate(d)[::-1], 2) for d in _COLOR_DIGITS) for e in range(n)]
         yield planes, (1 << count) - 1, lambda j, draws=draws: tuple(draws[j * n : (j + 1) * n])
 
 
@@ -702,8 +699,8 @@ def check_4P_at(pair: SignaturePair, partition: FourPartition, focus: int) -> bo
     if not (b | w) >> focus & 1:
         raise DomainError("focus element must be painted black or white")
     planes = [(b >> e & 1, w >> e & 1, g >> e & 1, r >> e & 1) for e in range(pair.ground.size)]
-    bad = _paint_bad(pair.circuit_sig.pair_masks(), pair.cocircuit_sig.pair_masks(), planes, 1)
-    return not bad[focus]
+    members = [[(*x, 1) for x in sig.pair_masks()] for sig in (pair.circuit_sig, pair.cocircuit_sig)]
+    return not _paint_bad(*members, planes)[0][focus]
 
 
 def check_4P(
@@ -723,10 +720,8 @@ def check_4P(
 
     def first_bad(batch) -> FourPViolation | None:
         planes, full, colors_of = batch
-        bad = _paint_bad(circ_pairs, cocirc_pairs, planes, full)
-        any_bad = 0
-        for x in bad:
-            any_bad |= x
+        bad = _paint_bad([(*x, full) for x in circ_pairs], [(*x, full) for x in cocirc_pairs], planes)[0]
+        any_bad = functools.reduce(int.__or__, bad, 0)
         if not any_bad:
             return None
         j = (any_bad & -any_bad).bit_length() - 1
@@ -738,7 +733,9 @@ def check_4P(
 
     return _exhaust_or_sample(
         "4P", "partitions", n, cap, sample, seed,
-        lambda: _exhaustive_paintings(n), lambda rng: _sampled_paintings(n, sample, rng), first_bad,
+        lambda: _exhaustive_paintings(n),
+        lambda rng: _sampled_paintings(n, sample, lambda: [rng.randrange(4) for _ in range(n)]),
+        first_bad,
     )
 
 
@@ -843,6 +840,57 @@ def check_CE(
 
 # ---------------------------------------------------------------------------
 # Farkas axiom (FA)
+#
+# The (4P) kernel decides (FA) too: read the colors as keep (B), keep
+# reversed (W), contract (G) and delete (R), and each painting is one minor
+# with one reorientation of its kept elements.
+
+
+class _Inside(dict):
+    """Memo of the positions whose set contains all of mask x; starts as {0: full}, needs ``planes``."""
+
+    def __missing__(self, x: int) -> int:
+        low = x & -x
+        got = self[x] = self[x ^ low] & self.planes[low.bit_length() - 1]
+        return got
+
+
+def _live_planes(masks: list[int], planes: list[int], full: int) -> list[int]:
+    """Per member s of ``masks``, the positions where s \\ f is a circuit of the contraction by f.
+
+    ``planes[e]`` holds the positions whose set f contains e.  s \\ f is a
+    minimal nonempty set D \\ f exactly when s is not inside f and no member D
+    has D \\ s inside f, D not inside f and s \\ D not inside f.
+    """
+    inside = _Inside({0: full})
+    inside.planes = planes
+    out = []
+    for s in masks:
+        dead = inside[s]
+        for d in masks:
+            dead |= inside[d & ~s] & ~inside[d] & ~inside[s & ~d]
+        out.append(full & ~dead)
+    return out
+
+
+@functools.cache
+def _digit_index(k: int, color: int) -> bytes:
+    """Per painting j of a block, last first, a byte whose bit q says digit q of j is ``color``."""
+    index = b"\0"
+    for q in range(k):
+        marked = index.translate(bytes(range(1 << q, 256)) + bytes(range(1 << q)))  # byte v -> v + 2^q
+        index = b"".join(marked if d == color else index for d in range(4))
+    return index[::-1]
+
+
+def _fa_first(bad: int, planes: list[tuple[int, int, int, int]]) -> int:
+    """The position of ``bad`` first in (FA) order: the minor, then the reorientation mask."""
+    for b, w, g, r in planes:
+        bad &= next(part for part in (b | w, g, r) if bad & part)
+    for b, _, _, _ in reversed(planes):
+        if bad & b:
+            bad &= b
+    return bad.bit_length() - 1
 
 
 def check_FA(
@@ -850,87 +898,78 @@ def check_FA(
 ) -> Verdict:
     """(FA): every minor's induced sets have (FP) under every reorientation.
 
-    Enumerates all 3^n keep/contract/delete assignments and all reorientation
-    subsets of each minor's ground, exhaustively up to the cap.
+    Runs the (4P) kernel with the colors read as keep, keep reversed,
+    contract and delete, so each painting is one minor/reorientation pair.
+    A signed circuit counts where its support avoids the deleted set and
+    stays a circuit after contracting f; ``_live_planes`` decides that once
+    per call for all 2^n sets f (per batch of draws when sampling).
+    Cocircuits swap contraction and deletion.
+    The witness is the first failing pair in (FA) order: the minor in product
+    order (keep < contract < delete, element 0 first), then the reorientation
+    mask as an integer.  A sample draws ``randrange(3)`` per element, then
+    ``randrange(2)`` per kept element, and reports the first failing draw.
     """
-    ground = pair.ground
-    n = ground.size
-    full = ground.full_mask
-    circ_signed = pair.circuit_sig.member_masks()
-    cocirc_signed = pair.cocircuit_sig.member_masks()
-    circuit_masks = pair.matroid.circuit_masks
-    cocircuit_masks = pair.matroid.dual().circuit_masks
-    contract_cache: dict[int, tuple[int, ...]] = {}
-    dual_contract_cache: dict[int, tuple[int, ...]] = {}
+    n = pair.ground.size
+    # each side's representatives, and the color of the set whose removal shrinks them
+    sides = [(pair.circuit_sig.pair_masks(), 2), (pair.cocircuit_sig.pair_masks(), 3)]
+    supports = {color: [s for *_, s in reps] for reps, color in sides}
+
+    def block(planes, colors_of, live_of):  # members are made one at a time, so few live planes coexist
+        circ, cocirc = (((*x, live) for x, live in zip(reps, live_of(color))) for reps, color in sides)
+        return planes, circ, cocirc, colors_of
 
     def exhaustive():
-        for states in itertools.product(range(3), repeat=n):
-            f, g = _minor_masks(states)
-            yield f, g, _submasks(full & ~(f | g))
+        k = min(n, _BLOCK_ELEMENTS)
+        every, run = (1 << (1 << n)) - 1, (1 << (1 << k)) - 1
+        # bit n - 1 - e of a set's index says it holds e, so the sets of one
+        # block (its prefix fixed, the last k elements free) are one run of 2^k bits
+        subsets = [every ^ every // ((1 << (2 << e)) - 1) * ((1 << (1 << e)) - 1) for e in reversed(range(n))]
+        tables = {color: _live_planes(masks, subsets, every) for color, masks in supports.items()}
+
+        def blocks():
+            for planes, _, colors_of in _exhaustive_paintings(n):
+                prefix = colors_of(0)[: n - k]
+
+                def live_of(color):  # each table's run, bit x spread to the paintings with byte x
+                    at = sum(1 << (n - 1 - e) for e, c in enumerate(prefix) if c == color)
+                    index, fmt = _digit_index(k, color), f"0{1 << k}b"
+                    return (
+                        int(index.translate(format(t >> at & run, fmt)[::-1].encode().ljust(256, b"0")), 2)
+                        for t in tables[color]
+                    )
+
+                yield block(planes, colors_of, live_of)
+
+        yield blocks(), True  # one batch: the (FA)-order first witness may lie in any block
 
     def sampled(rng: random.Random):
-        for _ in range(sample):
-            f, g = _minor_masks([rng.randrange(3) for _ in range(n)])
-            a = 0
-            for i in bits(full & ~(f | g)):
-                if rng.randrange(2):
-                    a |= 1 << i
-            yield f, g, (a,)
+        def paint():
+            states = [rng.randrange(3) for _ in range(n)]
+            return [s + 1 if s else rng.randrange(2) for s in states]  # keep: 0, or 1 when reversed
+
+        for planes, full, colors_of in _sampled_paintings(n, sample, paint):
+            live_of = lambda color: _live_planes(supports[color], [col[color] for col in planes], full)
+            yield [block(planes, colors_of, live_of)], False
 
     def first_bad(batch) -> FAViolation | None:
-        f, g, reorientations = batch
-        en = full & ~(f | g)
-        circ_n = contract_cache.get(f)
-        if circ_n is None:
-            circ_n = contraction_circuit_masks(circuit_masks, f)
-            contract_cache[f] = circ_n
-        circ_here = frozenset(c for c in circ_n if not c & g)
-        cocirc_n = dual_contract_cache.get(g)
-        if cocirc_n is None:
-            cocirc_n = contraction_circuit_masks(cocircuit_masks, g)
-            dual_contract_cache[g] = cocirc_n
-        cocirc_here = frozenset(u for u in cocirc_n if not u & f)
-        s_members = [(p & en, m & en) for p, m, s in circ_signed if not s & g and (s & en) in circ_here]
-        t_members = [(p & en, m & en) for p, m, s in cocirc_signed if not s & f and (s & en) in cocirc_here]
-        for a in reorientations:
-            # reorienting a makes a member positive when a meets its support in its negative part
-            cover_s = 0
-            for p, m in s_members:
-                if not ((m & ~a) | (p & a)):
-                    cover_s |= p | m
-            cover_t = 0
-            for p, m in t_members:
-                if not ((m & ~a) | (p & a)):
-                    cover_t |= p | m
-            fp = _fp_violation(cover_s, cover_t, en)
-            if fp is not None:
-                return FAViolation(MinorSpec(indices(f), indices(g)), indices(a), fp)
-        return None
+        blocks, ordered = batch
+        found = []
+        for planes, circ, cocirc, colors_of in blocks:
+            bad, us, ut = _paint_bad(circ, cocirc, planes)
+            any_bad = functools.reduce(int.__or__, bad, 0)
+            if any_bad:
+                j = _fa_first(any_bad, planes) if ordered else (any_bad & -any_bad).bit_length() - 1
+                colors = colors_of(j)
+                kept = [e for e, c in enumerate(colors) if c < 2]
+                fp = _fp_violation(*(mask_of(e for e in kept if u[e] >> j & 1) for u in (us, ut)), mask_of(kept))
+                f, g, a = (frozenset(e for e, c in enumerate(colors) if c == color) for color in (2, 3, 1))
+                key = [max(c - 1, 0) for c in colors], [c == 1 for c in reversed(colors)]
+                found.append((key, FAViolation(MinorSpec(f, g), a, fp)))
+        return min(found, key=lambda item: item[0])[1] if found else None
 
     return _exhaust_or_sample(
         "FA", "minor/reorientation pairs", n, cap, sample, seed, exhaustive, sampled, first_bad
     )
-
-
-def _minor_masks(states) -> tuple[int, int]:
-    """Contract and delete masks of a keep (0) / contract (1) / delete (2) assignment."""
-    f = g = 0
-    for i, st in enumerate(states):
-        if st == 1:
-            f |= 1 << i
-        elif st == 2:
-            g |= 1 << i
-    return f, g
-
-
-def _submasks(m: int):
-    """Every submask of ``m`` in increasing order."""
-    a = 0
-    while True:
-        yield a
-        a = (a - m) & m
-        if not a:
-            return
 
 
 def fa_gap_witness(

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import corrupt_pair, fig4_digraph, triangle
-from omlab.digraphs import graphic_om
+from omlab.digraphs import Digraph, graphic_om
 from omlab.errors import CapExceededError, DomainError, InvariantError
 from omlab.matroid import (
     CircuitViolation,
@@ -29,6 +29,7 @@ from omlab.oriented import (
     FA_CAP_DEFAULT,
     FOUR_P_CAP_DEFAULT,
     _exhaustive_paintings,
+    _live_planes,
     CEViolation,
     CircuitSignature,
     EliminationInstance,
@@ -790,6 +791,100 @@ def test_fa_sampled_matches_scalar(sample, seed):
     for pair in pairs:
         got = check_FA(pair, cap=3, sample=sample, seed=seed)
         assert got == scalar_check_fa(pair, cap=3, sample=sample, seed=seed)
+
+
+# -- bit-sliced (FA): liveness, several blocks, edge cases -----------------------------
+
+
+def subset_planes(n: int) -> list[int]:
+    """Per element e, the plane of the 2^n sets f (bit f) that contain e."""
+    return [sum(1 << f for f in range(1 << n) if f >> e & 1) for e in range(n)]
+
+
+def assert_liveness_matches_contraction(n: int, masks) -> None:
+    masks = list(masks)
+    live = _live_planes(masks, subset_planes(n), (1 << (1 << n)) - 1)
+    for f in range(1 << n):
+        circuits = set(contraction_circuit_masks(masks, f))
+        assert [x >> f & 1 for x in live] == [int((s & ~f) in circuits) for s in masks], (masks, f)
+
+
+def test_liveness_matches_contraction_on_pool(instance_pool):
+    seen = set()
+    for inst in instance_pool:
+        m = inst.pair.matroid
+        for side in (m, m.dual()):
+            if side not in seen:
+                seen.add(side)
+                assert_liveness_matches_contraction(side.ground.size, side.circuit_masks)
+    assert len(seen) == 75  # the 42 distinct pool matroids and their duals, 75 distinct in all
+
+
+def test_liveness_matches_contraction_on_random_clutters():
+    # clutters that fail (C3) reach cases the pool's 42 distinct matroids do not
+    non_matroids = 0
+    for seed in range(300):
+        ground, masks = random_clutter(random.Random(seed))
+        assert_liveness_matches_contraction(ground.size, masks)
+        non_matroids += isinstance(validate_circuits(ground, masks), CircuitViolation)
+    assert non_matroids > 50
+
+
+def test_fa_matches_scalar_on_alt9():
+    alt9 = alternating_rank2(9)  # n = 9: four 4^8 blocks
+    assert check_FA(alt9, cap=9) == scalar_check_fa(alt9, cap=9) == Verdict(True)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_fa_matches_scalar_on_alt9_mutants(seed):
+    mutant = corrupt_pair(alternating_rank2(9), random.Random(seed))
+    assert check_FA(mutant, cap=9) == scalar_check_fa(mutant, cap=9)
+
+
+def test_fa_witness_outside_the_first_failing_block():
+    # blocks run over element 0's color (keep, keep reversed, contract, delete);
+    # here the first block fails too, but the (FA)-order first witness reverses
+    # element 0, so it lies in the second block
+    mutant = corrupt_pair(alternating_rank2(9), random.Random(1))
+    got = check_FA(mutant, cap=9)
+    assert got == scalar_check_fa(mutant, cap=9)
+    assert not got.witness.spec.contract and not got.witness.spec.delete and 0 in got.witness.reorient
+    in_first_block = mutant.reorient(1 << 8)  # every element kept, element 0 not reversed
+    assert not check_FP(in_first_block.circuit_sig.signed, in_first_block.cocircuit_sig.signed, mutant.ground)
+
+
+def with_loop(pair: SignaturePair) -> SignaturePair:
+    """``pair`` with a loop put in front: a circuit of its own, in no cocircuit."""
+    ground = GroundSet.range(pair.ground.size + 1)
+
+    def lift(xs):
+        return [SignedSubset(ground, x.pos << 1, x.neg << 1) for x in xs]
+
+    m = Matroid.from_circuits(ground, [[0]] + [[e + 1 for e in bits(c)] for c in pair.matroid.circuit_masks])
+    return SignaturePair(
+        m,
+        CircuitSignature.from_representatives(m, lift(pair.circuit_sig.representatives()) + [SignedSubset(ground, 1, 0)]),
+        CircuitSignature.from_representatives(m.dual(), lift(pair.cocircuit_sig.representatives())),
+    )
+
+
+@pytest.mark.parametrize(
+    "arcs",
+    [
+        # parallel 1->2 arcs, an antiparallel 2->1 arc, a triangle and the bridge 3->4: n = 7
+        [("1", "2"), ("1", "2"), ("2", "1"), ("2", "3"), ("3", "1"), ("3", "4")],
+        # with a second parallel class 4<->5 and the bridge 5->6: n = 9, four blocks
+        [("1", "2"), ("1", "2"), ("2", "3"), ("3", "1"), ("3", "4"), ("4", "5"), ("5", "4"), ("5", "6")],
+    ],
+)
+def test_fa_matches_scalar_with_loop_bridge_and_parallel_arcs(arcs):
+    vertices = sorted({v for arc in arcs for v in arc})
+    pair = with_loop(graphic_om(Digraph.of(vertices, arcs)))
+    assert check_FA(pair, cap=9) == scalar_check_fa(pair, cap=9) == Verdict(True)
+    for seed in range(6):
+        mutant = corrupt_pair(pair, random.Random(seed))
+        assert check_FA(mutant, cap=9) == scalar_check_fa(mutant, cap=9)
 
 
 # -- uniqueness by exhaustive enumeration ------------------------------------------

@@ -207,7 +207,7 @@ def test_gen_lines_rejects_non_free(tmp_path, capsys):
     path = tmp_path / "bad.lines"
     path.write_text("1 0 0\n0 1 0\n1 1 0\n0 0 1\n")
     code, _, err = run(capsys, "gen", "lines", str(path))
-    assert code == 1
+    assert code == 2
     assert "free" in err
 
 
@@ -264,8 +264,23 @@ def test_dual_roundtrip(alt5_file, capsys):
 
 def test_minor_unknown_label(alt5_file, capsys):
     code, _, err = run(capsys, "minor", alt5_file, "--contract", "99")
-    assert code == 1
+    assert code == 2
     assert "unknown element" in err
+
+
+def test_gen_uniform_alt_too_small_is_a_precondition_error(capsys):
+    code, out, err = run(capsys, "gen", "uniform-alt", "2")
+    assert code == 2 and out == ""
+    assert err == "error: the alternating truncation needs at least 3 elements\n"
+
+
+def test_decompose_non_orthogonal_target_is_a_precondition_error(fig4_file, tmp_path, capsys):
+    om = tmp_path / "fig4.om"
+    assert main(["gen", "graphic", fig4_file, "-o", str(om)]) == 0
+    capsys.readouterr()
+    code, out, err = run(capsys, "decompose", str(om), "+00000")
+    assert code == 2 and out == ""
+    assert err.startswith("error: target is not orthogonal to cocircuit")
 
 
 def test_derive_failure_exit_code(alt5_file, tmp_path, capsys):

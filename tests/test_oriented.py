@@ -437,6 +437,13 @@ def test_exhaust_or_sample_contract(axiom, check):
         check(forest, sample=0)
 
 
+def test_fa_cap_comes_before_its_tables():
+    # the liveness tables of alt-40 would hold 2^40 bits each: never built
+    with pytest.raises(CapExceededError) as info:
+        check_FA(alternating_rank2(40))
+    assert str(info.value) == "exhaustive (FA) needs ground size <= 8 (got 40); use sampling instead"
+
+
 def test_ce_sampling_on_circuit_free_matroid():
     tree = graphic_om(Digraph.of(["1", "2", "3"], [("1", "2"), ("2", "3")]))
     assert not tree.matroid.circuit_masks
