@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DomainError, InvariantError, UnknownElementError
+from .errors import DomainError, GroundMismatchError, InvariantError, UnknownElementError
 from .matroid import Matroid
 from .oriented import CircuitSignature, SignaturePair
 from .signed_sets import GroundSet, SignedSubset, bits, mask_of
@@ -350,7 +350,7 @@ def disjoint_cocircuit_decomposition(pair: SignaturePair, g: SignedSubset) -> li
     cocircuit inside the remaining support, as in the inductive proof.
     """
     if g.ground != pair.ground:
-        raise DomainError("signed subset lives on a different ground set")
+        raise GroundMismatchError("signed subset lives on a different ground set")
     if g.is_empty():
         return []
     for c in pair.circuit_sig.representatives():
@@ -363,12 +363,7 @@ def disjoint_cocircuit_decomposition(pair: SignaturePair, g: SignedSubset) -> li
     out: list[SignedSubset] = []
     while remaining:
         e = remaining & -remaining
-        hit = None
-        for u in members:
-            s = u.support
-            if s & e and not s & ~remaining and u.pos == g.pos & s and u.neg == g.neg & s:
-                hit = u
-                break
+        hit = next((u for u in members if u.support & e and not u.support & ~remaining and u.conforms_to(g)), None)
         if hit is None:
             raise InvariantError(
                 "no matching cocircuit inside the remaining support; "

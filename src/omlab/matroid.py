@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import CapExceededError, DomainError, InvariantError, ValidationError
 from .signed_sets import GroundSet, bits, indices, mask_of
@@ -190,13 +190,8 @@ class Matroid:
         g = self.ground.check_mask(spec.delete_mask)
         kept = tuple(i for i in range(self.ground.size) if not ((f | g) >> i) & 1)
         new_ground = GroundSet(tuple(self.ground.labels[i] for i in kept))
-        contracted = contraction_circuit_masks(self.circuit_masks, f)
-        remap = {old: new for new, old in enumerate(kept)}
-        new_masks = []
-        for c in contracted:
-            if c & g:
-                continue
-            new_masks.append(mask_of(remap[i] for i in bits(c)))
+        down = relabel(f | g)
+        new_masks = [down(c) for c in contraction_circuit_masks(self.circuit_masks, f) if not c & g]
         return Matroid._from_valid(new_ground, new_masks), kept
 
     def minor(self, spec: MinorSpec) -> "Matroid":
@@ -237,6 +232,23 @@ class Matroid:
             if (c >> e) & 1 and c & ~allowed == 0:
                 return indices(c)
         raise InvariantError("basis plus one element contains no circuit")
+
+
+def relabel(dropped: int) -> Callable[[int], int]:
+    """Map a mask to the ground set with ``dropped`` removed, in kept order.
+
+    The bits of ``dropped`` are discarded and the bits above each one move
+    down to close its gap, so the j-th element outside ``dropped`` becomes
+    element j.
+    """
+    gaps = [((1 << i) - 1, -1 << i) for i in range(dropped.bit_length() - 1, -1, -1) if dropped >> i & 1]
+
+    def down(mask: int) -> int:
+        for low, high in gaps:
+            mask = mask & low | mask >> 1 & high
+        return mask
+
+    return down
 
 
 def contraction_circuit_masks(circuit_masks: Iterable[int], f: int) -> tuple[int, ...]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .errors import CapExceededError, DomainError, GroundMismatchError, InvariantError, ValidationError
-from .matroid import Matroid, MinorSpec, _cover, _first_bad_family
+from .matroid import Matroid, MinorSpec, _cover, _first_bad_family, relabel
 from .signed_sets import GroundSet, SignedSubset, bits, indices, mask_of
 
 FOUR_P_CAP_DEFAULT = 10
@@ -60,9 +60,8 @@ class CircuitSignature:
                     f"support {sorted(bits(s))} must carry exactly one opposite pair of signings"
                 )
         self.signed = members
-        self._rep_by_support = {
-            s: min(group, key=lambda x: x.sort_key()) for s, group in supports.items()
-        }
+        # of an opposite pair, the least by sort_key is positive on its least element
+        self._rep_by_support = {s: group[0].canonical_rep() for s, group in supports.items()}
 
     @classmethod
     def from_representatives(cls, matroid: Matroid, reps: Iterable[SignedSubset]) -> "CircuitSignature":
@@ -366,11 +365,7 @@ def derive_cocircuit_signature(matroid: Matroid, csig: CircuitSignature) -> Circ
         pos, neg = e_u, 0
         for e in bits(u_mask ^ e_u):
             want = e_u | (1 << e)
-            chosen = None
-            for c_mask in matroid.circuit_masks:
-                if c_mask & u_mask == want:
-                    chosen = c_mask
-                    break
+            chosen = next((c_mask for c_mask in matroid.circuit_masks if c_mask & u_mask == want), None)
             if chosen is None:
                 raise InvariantError(
                     f"no circuit meets cocircuit {sorted(bits(u_mask))} exactly in the anchor pair"
@@ -384,10 +379,9 @@ def derive_cocircuit_signature(matroid: Matroid, csig: CircuitSignature) -> Circ
                 neg |= 1 << e
         reps.append(SignedSubset(ground, pos, neg))
     cosig = CircuitSignature.from_representatives(dual, reps)
-    for c in csig.representatives():
-        for u in cosig.representatives():
-            if not c.orthogonal(u):
-                return DeriveFailure(c, u)
+    orth = check_orthogonality(SignaturePair(matroid, csig, cosig))
+    if not orth:
+        return DeriveFailure(orth.witness.circuit, orth.witness.cocircuit)
     return cosig
 
 
@@ -405,58 +399,22 @@ def check_signature_uniqueness(
 # minors
 
 
-def _restrict_map(ground: GroundSet, kept: tuple[int, ...], new_ground: GroundSet):
-    remap = {old: new for new, old in enumerate(kept)}
-
-    def down(x: SignedSubset, support_mask: int) -> SignedSubset:
-        pos = mask_of(remap[i] for i in bits(x.pos & support_mask))
-        neg = mask_of(remap[i] for i in bits(x.neg & support_mask))
-        return SignedSubset(new_ground, pos, neg)
-
-    return down
-
-
 def induced_signature(pair: SignaturePair, spec: MinorSpec) -> SignaturePair:
-    """Signatures induced on a minor by restricting lifted signed (co)circuits.
+    """The induced sets of mode ``"circuits"`` as a signature pair on the minor.
 
     Requires (O) implicitly: if two lifts of the same minor circuit restrict
     to non-opposite signings, the induction is ill-defined and an upstream
     (O) violation is reported.
     """
-    m = pair.matroid
-    f_mask = m.ground.check_mask(spec.contract_mask)
-    g_mask = m.ground.check_mask(spec.delete_mask)
-    n, kept = m.minor_with_map(spec)
-    down = _restrict_map(m.ground, kept, n.ground)
-    up = {new: old for new, old in enumerate(kept)}
-
-    def lift_side(sig: CircuitSignature, minor_matroid: Matroid, extra_mask: int) -> CircuitSignature:
-        reps = []
-        for c_new in minor_matroid.circuit_masks:
-            old_support = mask_of(up[i] for i in bits(c_new))
-            classes: set[SignedSubset] = set()
-            witness = None
-            for lift in sig.representatives():
-                s = lift.support
-                if old_support & ~s == 0 and s & ~(old_support | extra_mask) == 0:
-                    restricted = down(lift, old_support)
-                    classes.add(restricted.canonical_rep())
-                    if witness is None:
-                        witness = restricted
-            if not classes:
-                raise InvariantError(
-                    f"minor circuit {sorted(bits(c_new))} has no lift: the minor machinery is broken"
-                )
-            if len(classes) > 1:
-                raise ValidationError(
-                    "induced signing depends on the choice of lift; the signature pair violates (O)"
-                )
-            reps.append(witness)
-        return CircuitSignature.from_representatives(minor_matroid, reps)
-
-    csig_n = lift_side(pair.circuit_sig, n, f_mask)
-    cosig_n = lift_side(pair.cocircuit_sig, n.dual(), g_mask)
-    return SignaturePair(n, csig_n, cosig_n)
+    got = induced_sets(pair, spec)
+    n = got.minor
+    sides = ((n, got.circuits_side), (n.dual(), got.cocircuits_side))
+    for matroid, members in sides:
+        if len(members) > 2 * len(matroid.circuit_masks):
+            raise ValidationError(
+                "induced signing depends on the choice of lift; the signature pair violates (O)"
+            )
+    return SignaturePair(n, *(CircuitSignature(matroid, members) for matroid, members in sides))
 
 
 class InducedSets(NamedTuple):
@@ -468,46 +426,36 @@ class InducedSets(NamedTuple):
 def induced_sets(pair: SignaturePair, spec: MinorSpec, mode: str = "circuits") -> InducedSets:
     """The sets of restricted signed subsets a minor inherits.
 
+    A side keeps the members whose support avoids what that side drops: the
+    deleted elements for circuits, the contracted ones for cocircuits.
     ``mode`` selects the inherited family: ``"circuits"`` keeps restrictions
     of signed (co)circuits whose restricted support is a (co)circuit of the
     minor; ``"tilde"`` drops that support condition; ``"vectors"`` restricts
     whole (co)vectors.  The latter two are experimental alternatives.
     """
-    m = pair.matroid
-    f_mask = m.ground.check_mask(spec.contract_mask)
-    g_mask = m.ground.check_mask(spec.delete_mask)
-    n, kept = m.minor_with_map(spec)
-    en_mask = m.ground.full_mask & ~(f_mask | g_mask)
-    down = _restrict_map(m.ground, kept, n.ground)
-    remap = {old: new for new, old in enumerate(kept)}
-
-    def new_mask(old_mask: int) -> int:
-        return mask_of(remap[i] for i in bits(old_mask))
-
-    if mode == "vectors":
-        src_s: Iterable[SignedSubset] = vectors(pair.circuit_sig)
-        src_t: Iterable[SignedSubset] = vectors(pair.cocircuit_sig)
-    else:
-        src_s = pair.circuit_sig.signed
-        src_t = pair.cocircuit_sig.signed
-
-    def side(members: Iterable[SignedSubset], avoid_mask: int, minor_circuits: frozenset[int]) -> frozenset[SignedSubset]:
+    n, _ = pair.matroid.minor_with_map(spec)
+    down = relabel(spec.contract_mask | spec.delete_mask)
+    sides = []
+    for sig, minor, avoid in (
+        (pair.circuit_sig, n, spec.delete_mask),
+        (pair.cocircuit_sig, n.dual(), spec.contract_mask),
+    ):
+        # restriction commutes with negation, so a member's negative is added with it and
+        # a signature's representatives cover all its members
+        members = vectors(sig) if mode == "vectors" else sig.representatives()
+        minor_circuits = frozenset(minor.circuit_masks)
         out = set()
         for x in members:
-            if x.support & avoid_mask:
+            if x.support & avoid:
                 continue
-            if mode == "circuits" and new_mask(x.support & en_mask) not in minor_circuits:
+            support = down(x.support)
+            if mode == "circuits" and support not in minor_circuits:
                 continue
-            out.add(down(x, x.support & en_mask))
-        return frozenset(out)
-
-    circ_n = frozenset(n.circuit_masks)
-    cocirc_n = frozenset(n.dual().circuit_masks)
-    return InducedSets(
-        side(src_s, g_mask, circ_n),
-        side(src_t, f_mask, cocirc_n),
-        n,
-    )
+            pos = down(x.pos)
+            out.add(SignedSubset(n.ground, pos, support & ~pos))
+            out.add(SignedSubset(n.ground, support & ~pos, pos))
+        sides.append(frozenset(out))
+    return InducedSets(*sides, n)
 
 
 # ---------------------------------------------------------------------------
@@ -694,6 +642,8 @@ def check_4P_at(pair: SignaturePair, partition: FourPartition, focus: int) -> bo
     """Exactly-one alternative of the painting property at a single partition."""
     if partition.ground != pair.ground:
         raise GroundMismatchError("partition lives on a different ground set")
+    if not 0 <= focus < pair.ground.size:
+        raise DomainError(f"focus element {focus} outside the ground set")
     b, w = mask_of(partition.black), mask_of(partition.white)
     g, r = mask_of(partition.green), mask_of(partition.red)
     if not (b | w) >> focus & 1:
@@ -1053,11 +1003,7 @@ def _eliminate(pair: SignaturePair, inst: EliminationInstance, avoid: int) -> Si
             cobasis = cand
     basis = g & ~cobasis
     allowed = basis | fb
-    support = None
-    for cm in m.circuit_masks:
-        if cm & fb and not cm & ~allowed:
-            support = cm
-            break
+    support = next((cm for cm in m.circuit_masks if cm & fb and not cm & ~allowed), None)
     if support is None:
         raise InvariantError("no fundamental circuit through the retained element")
     d = pair.circuit_sig.by_support(support)
@@ -1130,11 +1076,7 @@ def conformal_decompose(
     reps = sorted(pair.circuit_sig.signed, key=lambda s: s.sort_key())
     for e in bits(target.support):
         b = 1 << e
-        hit = None
-        for c in reps:
-            if c.support & b and c.conforms_to(target):
-                hit = c
-                break
+        hit = next((c for c in reps if c.support & b and c.conforms_to(target)), None)
         if hit is None:
             return DecomposeFailure(e)
         if hit not in seen:

@@ -74,6 +74,8 @@ class GroundSet:
             raise UnknownElementError(f"unknown element {label!r}") from None
 
     def check_mask(self, mask: int) -> int:
+        if mask < 0:
+            raise UnknownElementError(f"negative mask {mask} names no elements of the ground set")
         if mask & ~self.full_mask:
             raise UnknownElementError(f"element indices {sorted(bits(mask & ~self.full_mask))} outside ground set")
         return mask

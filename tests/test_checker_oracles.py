@@ -6,6 +6,7 @@ transcription of the definitions on small instances, including corrupted
 ones where violations must be found.
 """
 
+import functools
 import itertools
 import random
 
@@ -15,7 +16,9 @@ from hypothesis import strategies as st
 
 from conftest import corrupt_pair, fig4_digraph, triangle
 from omlab.digraphs import Digraph, graphic_om
-from omlab.errors import CapExceededError, DomainError, InvariantError
+from omlab.errors import CapExceededError, DomainError, InvariantError, ValidationError
+from omlab import oriented
+from omlab.formats import emit_oriented
 from omlab.matroid import (
     CircuitViolation,
     Matroid,
@@ -37,6 +40,7 @@ from omlab.oriented import (
     FourPartition,
     FourPViolation,
     FPViolation,
+    InducedSets,
     SignaturePair,
     Verdict,
     alternating_rank2,
@@ -48,6 +52,8 @@ from omlab.oriented import (
     check_orthogonality,
     derive_cocircuit_signature,
     induced_sets,
+    induced_signature,
+    vectors,
 )
 from omlab.signed_sets import GroundSet, SignedSubset, bits, indices, mask_of
 
@@ -885,6 +891,166 @@ def test_fa_matches_scalar_with_loop_bridge_and_parallel_arcs(arcs):
     for seed in range(6):
         mutant = corrupt_pair(pair, random.Random(seed))
         assert check_FA(mutant, cap=9) == scalar_check_fa(mutant, cap=9)
+
+
+# -- lifted induced signature: the per-circuit lift search induced_signature replaced
+#
+# For every minor (co)circuit the old induced_signature searched all
+# representatives for lifts, restricted each lift to the minor (co)circuit and
+# demanded a single opposite pair among the results.  induced_sets applied the
+# same restriction again, with its own relabelling.  Now the induced signature
+# is the induced sets after a one-pair-per-support check, and it must give the
+# same pair, output bytes and minor dual, or the same error.
+
+
+def restrict_map(kept: tuple[int, ...], new_ground: GroundSet):
+    remap = {old: new for new, old in enumerate(kept)}
+
+    def down(x: SignedSubset, support_mask: int) -> SignedSubset:
+        pos = mask_of(remap[i] for i in bits(x.pos & support_mask))
+        neg = mask_of(remap[i] for i in bits(x.neg & support_mask))
+        return SignedSubset(new_ground, pos, neg)
+
+    return down
+
+
+def lift_induced_signature(pair: SignaturePair, spec: MinorSpec) -> SignaturePair:
+    m = pair.matroid
+    f_mask = m.ground.check_mask(spec.contract_mask)
+    g_mask = m.ground.check_mask(spec.delete_mask)
+    n, kept = m.minor_with_map(spec)
+    down = restrict_map(kept, n.ground)
+    up = {new: old for new, old in enumerate(kept)}
+
+    def lift_side(sig: CircuitSignature, minor_matroid: Matroid, extra_mask: int) -> CircuitSignature:
+        reps = []
+        for c_new in minor_matroid.circuit_masks:
+            old_support = mask_of(up[i] for i in bits(c_new))
+            classes = set()
+            witness = None
+            for lift in sig.representatives():
+                s = lift.support
+                if old_support & ~s == 0 and s & ~(old_support | extra_mask) == 0:
+                    restricted = down(lift, old_support)
+                    classes.add(restricted.canonical_rep())
+                    if witness is None:
+                        witness = restricted
+            if not classes:
+                raise InvariantError(
+                    f"minor circuit {sorted(bits(c_new))} has no lift: the minor machinery is broken"
+                )
+            if len(classes) > 1:
+                raise ValidationError(
+                    "induced signing depends on the choice of lift; the signature pair violates (O)"
+                )
+            reps.append(witness)
+        return CircuitSignature.from_representatives(minor_matroid, reps)
+
+    csig_n = lift_side(pair.circuit_sig, n, f_mask)
+    cosig_n = lift_side(pair.cocircuit_sig, n.dual(), g_mask)
+    return SignaturePair(n, csig_n, cosig_n)
+
+
+def restrict_induced_sets(pair: SignaturePair, spec: MinorSpec, mode: str = "circuits") -> InducedSets:
+    m = pair.matroid
+    f_mask = m.ground.check_mask(spec.contract_mask)
+    g_mask = m.ground.check_mask(spec.delete_mask)
+    n, kept = m.minor_with_map(spec)
+    en_mask = m.ground.full_mask & ~(f_mask | g_mask)
+    down = restrict_map(kept, n.ground)
+    remap = {old: new for new, old in enumerate(kept)}
+
+    def new_mask(old_mask: int) -> int:
+        return mask_of(remap[i] for i in bits(old_mask))
+
+    if mode == "vectors":
+        src_s, src_t = vectors(pair.circuit_sig), vectors(pair.cocircuit_sig)
+    else:
+        src_s, src_t = pair.circuit_sig.signed, pair.cocircuit_sig.signed
+
+    def side(members, avoid_mask: int, minor_circuits: frozenset[int]) -> frozenset[SignedSubset]:
+        out = set()
+        for x in members:
+            if x.support & avoid_mask:
+                continue
+            if mode == "circuits" and new_mask(x.support & en_mask) not in minor_circuits:
+                continue
+            out.add(down(x, x.support & en_mask))
+        return frozenset(out)
+
+    circ_n = frozenset(n.circuit_masks)
+    cocirc_n = frozenset(n.dual().circuit_masks)
+    return InducedSets(side(src_s, g_mask, circ_n), side(src_t, f_mask, cocirc_n), n)
+
+
+def minor_specs(n: int):
+    """All 3^n minors of an n-element ground set: keep, contract or delete each element."""
+    for states in itertools.product(range(3), repeat=n):
+        yield MinorSpec.of(
+            contract=[i for i, s in enumerate(states) if s == 1],
+            delete=[i for i, s in enumerate(states) if s == 2],
+        )
+
+
+def induced_outcome(induce, pair: SignaturePair, spec: MinorSpec):
+    """The induced pair with its output bytes and minor dual, or the error raised."""
+    try:
+        got = induce(pair, spec)
+    except Exception as err:  # compared by class and message
+        return type(err), str(err)
+    return got, emit_oriented(got), got.matroid.dual().circuit_masks
+
+
+def assert_induced_signature_matches_lifts(pair: SignaturePair, specs, label) -> int:
+    """Compare on every spec; returns how many specs raised."""
+    raised = 0
+    for spec in specs:
+        want = induced_outcome(lift_induced_signature, pair, spec)
+        assert induced_outcome(induced_signature, pair, spec) == want, (label, spec)
+        raised += isinstance(want[0], type)
+    return raised
+
+
+def test_induced_signature_matches_lifts_on_pool_minors(instance_pool):
+    raised = {False: 0, True: 0}
+    for inst in instance_pool:
+        n = inst.pair.ground.size
+        if n <= 6:
+            raised[inst.corrupted] += assert_induced_signature_matches_lifts(inst.pair, minor_specs(n), inst.name)
+    assert raised == {False: 0, True: 3}  # the (O) message on three mutant minors
+
+
+@pytest.mark.parametrize(
+    "arcs, sample",
+    [
+        ([("1", "2"), ("1", "2"), ("2", "1"), ("2", "3"), ("3", "1"), ("3", "4")], None),
+        ([("1", "2"), ("1", "2"), ("2", "3"), ("3", "1"), ("3", "4"), ("4", "5"), ("5", "4"), ("5", "6")], 400),
+    ],
+)
+def test_induced_signature_matches_lifts_with_loop_bridge_and_parallel_arcs(arcs, sample):
+    # the pool has only 42 distinct matroids and none with a loop; the n = 9
+    # pair has 3^9 minors, so it is compared on a seeded sample of them
+    vertices = sorted({v for arc in arcs for v in arc})
+    pair = with_loop(graphic_om(Digraph.of(vertices, arcs)))
+    specs = list(minor_specs(pair.ground.size))
+    if sample is not None:
+        specs = random.Random(sample).sample(specs, sample)
+    assert assert_induced_signature_matches_lifts(pair, specs, "pristine") == 0
+    raised = 0
+    for seed in range(6):
+        raised += assert_induced_signature_matches_lifts(corrupt_pair(pair, random.Random(seed)), specs, seed)
+    assert raised
+
+
+@pytest.mark.parametrize("mode", ["circuits", "tilde", "vectors"])
+def test_induced_sets_match_restriction_on_small_instances(mode, monkeypatch):
+    # both sides rebuild a pair's (co)vectors on every minor; build them once
+    cached = functools.lru_cache(maxsize=None)(vectors)
+    monkeypatch.setattr(oriented, "vectors", cached)
+    monkeypatch.setitem(globals(), "vectors", cached)
+    for name, pair in small_instances():
+        for spec in minor_specs(pair.ground.size):
+            assert induced_sets(pair, spec, mode) == restrict_induced_sets(pair, spec, mode), (name, spec)
 
 
 # -- uniqueness by exhaustive enumeration ------------------------------------------

@@ -17,7 +17,7 @@ from omlab.digraphs import (
     is_flow,
     minty_certificate,
 )
-from omlab.errors import DomainError, InvariantError
+from omlab.errors import DomainError, GroundMismatchError, InvariantError
 from omlab.oriented import check_4P, check_CE, check_FA, check_FP, check_orthogonality
 from omlab.signed_sets import SignedSubset, bits
 
@@ -231,6 +231,13 @@ def test_cocircuit_decomposition_hypothesis_violation():
     with pytest.raises(DomainError) as err:
         disjoint_cocircuit_decomposition(pair, g)
     assert "hypothesis" in str(err.value)
+
+
+def test_cocircuit_decomposition_ground_mismatch():
+    pair = graphic_om(triangle())
+    other = graphic_om(fig4_digraph())
+    with pytest.raises(GroundMismatchError):
+        disjoint_cocircuit_decomposition(pair, ss(other.ground, "+00000"))
 
 
 def test_cocircuit_decomposition_properties_random():

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import fig4_digraph
 from omlab import graphic_om
-from omlab.errors import CapExceededError, DomainError, ValidationError
+from omlab.errors import CapExceededError, DomainError, UnknownElementError, ValidationError
 from omlab.matroid import CircuitViolation, Matroid, MinorSpec, validate_circuits
 from omlab.signed_sets import GroundSet, bits, mask_of
 
@@ -317,3 +317,10 @@ def test_uniform_duality_degrees():
             assert m.rank() == r
             assert all(u.bit_count() == n - r + 1 for u in m.cocircuit_masks)
             assert m.dual().rank() == n - r
+
+
+@pytest.mark.parametrize("query", ["rank", "is_independent"])
+def test_negative_mask_is_unknown_element(query):
+    m = Matroid.from_circuits(GroundSet.range(3), [[0, 1, 2]])
+    with pytest.raises(UnknownElementError):
+        getattr(m, query)(-1)

@@ -676,6 +676,9 @@ def test_check_4p_at_single_partition():
     assert check_4P_at(pair, part, 0)
     with pytest.raises(DomainError):
         check_4P_at(pair, part, 3)  # painted green, not a valid focus
+    for focus in (-1, 4):
+        with pytest.raises(DomainError, match="outside the ground set"):
+            check_4P_at(pair, part, focus)
 
 
 def test_contraction_of_alternating_matches_direct_construction():

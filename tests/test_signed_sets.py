@@ -48,6 +48,20 @@ def test_restrict_unknown_element():
         ss(G3, "+-+").restrict([5])
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: SignedSubset(G3, -1, 0),
+        lambda: ss(G3, "+-+").restrict(-1),
+        lambda: ss(G3, "+-+").reorient(-1),
+    ],
+)
+def test_negative_mask_is_unknown_element(call):
+    # a negative int has infinitely many set bits; it names no elements
+    with pytest.raises(UnknownElementError):
+        call()
+
+
 def test_conforms():
     assert ss(G3, "0-+").conforms_to(ss(G3, "+-+"))
     assert not ss(G3, "0+0").conforms_to(ss(G3, "+-+"))
