@@ -61,10 +61,10 @@ def parse_matroid(text: str, *, c3_cap: int = C3_CAP_DEFAULT, trusted: bool = Fa
 def emit_oriented(pair: SignaturePair) -> str:
     out = [emit_matroid(pair.matroid).rstrip("\n"), ""]
     for c in pair.circuit_sig.representatives():
-        out.append(c.canonical_rep().to_string())
+        out.append(c.to_string())
     out.append("")
     for u in pair.cocircuit_sig.representatives():
-        out.append(u.canonical_rep().to_string())
+        out.append(u.to_string())
     return "\n".join(out) + "\n"
 
 

@@ -210,9 +210,9 @@ class Matroid:
         c = circuit if isinstance(circuit, int) else mask_of(circuit)
         if c not in self.circuit_masks:
             raise DomainError("not a circuit of this matroid")
-        if e == f or not ((c >> e) & 1 and (c >> f) & 1):
+        want = mask_of([e, f])
+        if e == f or c & want != want:
             raise DomainError("need two distinct elements of the circuit")
-        want = (1 << e) | (1 << f)
         for u in self.cocircuit_masks:
             if c & u == want:
                 return indices(u)
@@ -222,14 +222,14 @@ class Matroid:
         """The unique circuit inside basis ∪ {e} that contains e."""
         b = basis if isinstance(basis, int) else mask_of(basis)
         self.ground.check_mask(b)
-        self.ground.check_mask(1 << e)
-        if b not in self.bases:
+        eb = self.ground.check_mask(mask_of([e]))
+        if not (self.is_independent(b) and b.bit_count() == self.rank()):
             raise DomainError("not a basis of this matroid")
-        if (b >> e) & 1:
+        if b & eb:
             raise DomainError("element already in the basis")
-        allowed = b | (1 << e)
+        allowed = b | eb
         for c in self.circuit_masks:
-            if (c >> e) & 1 and c & ~allowed == 0:
+            if c & eb and c & ~allowed == 0:
                 return indices(c)
         raise InvariantError("basis plus one element contains no circuit")
 

@@ -109,8 +109,8 @@ class CircuitSignature:
         return [(x.pos, x.neg, x.support) for x in self.representatives()]
 
     def member_masks(self) -> list[tuple[int, int, int]]:
-        """(pos, neg, support) for every signed member, deterministic order."""
-        return [(x.pos, x.neg, x.support) for x in sorted(self.signed, key=lambda s: s.sort_key())]
+        """(pos, neg, support) for every signed member: each representative, then its negative."""
+        return [x for p, m, s in self.pair_masks() for x in ((p, m, s), (m, p, s))]
 
 
 class SignaturePair:
@@ -823,14 +823,20 @@ def _live_planes(masks: list[int], planes: list[int], full: int) -> list[int]:
     return out
 
 
-@functools.cache
-def _digit_index(k: int, color: int) -> bytes:
-    """Per painting j of a block, last first, a byte whose bit q says digit q of j is ``color``."""
-    index = b"\0"
-    for q in range(k):
-        marked = index.translate(bytes(range(1 << q, 256)) + bytes(range(1 << q)))  # byte v -> v + 2^q
-        index = b"".join(marked if d == color else index for d in range(4))
-    return index[::-1]
+def _fa_members(circ_pairs, cocirc_pairs, batch):
+    """A painting batch's (FA) members per side, (pos, neg, support, live) for ``_paint_bad``.
+
+    A circuit is live where its support minus the contracted set (color 2) is
+    a circuit of the contraction; cocircuits read the deleted set (color 3).
+    ``_live_planes`` decides both from the batch's own planes of that color.
+    """
+    planes, full, _ = batch
+
+    def members(reps, color):
+        live = _live_planes([s for *_, s in reps], [col[color] for col in planes], full)
+        return [(*x, alive) for x, alive in zip(reps, live)]
+
+    return members(circ_pairs, 2), members(cocirc_pairs, 3)
 
 
 def _fa_first(bad: int, planes: list[tuple[int, int, int, int]]) -> int:
@@ -851,61 +857,30 @@ def check_FA(
     Runs the (4P) kernel with the colors read as keep, keep reversed,
     contract and delete, so each painting is one minor/reorientation pair.
     A signed circuit counts where its support avoids the deleted set and
-    stays a circuit after contracting f; ``_live_planes`` decides that once
-    per call for all 2^n sets f (per batch of draws when sampling).
-    Cocircuits swap contraction and deletion.
+    stays a circuit after contracting f; ``_fa_members`` decides that per
+    batch of paintings, from the batch's own planes.  Cocircuits swap
+    contraction and deletion.
     The witness is the first failing pair in (FA) order: the minor in product
     order (keep < contract < delete, element 0 first), then the reorientation
     mask as an integer.  A sample draws ``randrange(3)`` per element, then
     ``randrange(2)`` per kept element, and reports the first failing draw.
     """
     n = pair.ground.size
-    # each side's representatives, and the color of the set whose removal shrinks them
-    sides = [(pair.circuit_sig.pair_masks(), 2), (pair.cocircuit_sig.pair_masks(), 3)]
-    supports = {color: [s for *_, s in reps] for reps, color in sides}
-
-    def block(planes, colors_of, live_of):  # members are made one at a time, so few live planes coexist
-        circ, cocirc = (((*x, live) for x, live in zip(reps, live_of(color))) for reps, color in sides)
-        return planes, circ, cocirc, colors_of
-
-    def exhaustive():
-        k = min(n, _BLOCK_ELEMENTS)
-        every, run = (1 << (1 << n)) - 1, (1 << (1 << k)) - 1
-        # bit n - 1 - e of a set's index says it holds e, so the sets of one
-        # block (its prefix fixed, the last k elements free) are one run of 2^k bits
-        subsets = [every ^ every // ((1 << (2 << e)) - 1) * ((1 << (1 << e)) - 1) for e in reversed(range(n))]
-        tables = {color: _live_planes(masks, subsets, every) for color, masks in supports.items()}
-
-        def blocks():
-            for planes, _, colors_of in _exhaustive_paintings(n):
-                prefix = colors_of(0)[: n - k]
-
-                def live_of(color):  # each table's run, bit x spread to the paintings with byte x
-                    at = sum(1 << (n - 1 - e) for e, c in enumerate(prefix) if c == color)
-                    index, fmt = _digit_index(k, color), f"0{1 << k}b"
-                    return (
-                        int(index.translate(format(t >> at & run, fmt)[::-1].encode().ljust(256, b"0")), 2)
-                        for t in tables[color]
-                    )
-
-                yield block(planes, colors_of, live_of)
-
-        yield blocks(), True  # one batch: the (FA)-order first witness may lie in any block
+    circ_pairs, cocirc_pairs = pair.circuit_sig.pair_masks(), pair.cocircuit_sig.pair_masks()
 
     def sampled(rng: random.Random):
         def paint():
             states = [rng.randrange(3) for _ in range(n)]
             return [s + 1 if s else rng.randrange(2) for s in states]  # keep: 0, or 1 when reversed
 
-        for planes, full, colors_of in _sampled_paintings(n, sample, paint):
-            live_of = lambda color: _live_planes(supports[color], [col[color] for col in planes], full)
-            yield [block(planes, colors_of, live_of)], False
+        return (([batch], False) for batch in _sampled_paintings(n, sample, paint))
 
     def first_bad(batch) -> FAViolation | None:
-        blocks, ordered = batch
+        batches, ordered = batch
         found = []
-        for planes, circ, cocirc, colors_of in blocks:
-            bad, us, ut = _paint_bad(circ, cocirc, planes)
+        for paintings in batches:
+            planes, _, colors_of = paintings
+            bad, us, ut = _paint_bad(*_fa_members(circ_pairs, cocirc_pairs, paintings), planes)
             any_bad = functools.reduce(int.__or__, bad, 0)
             if any_bad:
                 j = _fa_first(any_bad, planes) if ordered else (any_bad & -any_bad).bit_length() - 1
@@ -918,7 +893,9 @@ def check_FA(
         return min(found, key=lambda item: item[0])[1] if found else None
 
     return _exhaust_or_sample(
-        "FA", "minor/reorientation pairs", n, cap, sample, seed, exhaustive, sampled, first_bad
+        "FA", "minor/reorientation pairs", n, cap, sample, seed,
+        lambda: [(_exhaustive_paintings(n), True)],  # one batch: the (FA)-order first witness may lie in any block
+        sampled, first_bad,
     )
 
 

@@ -23,7 +23,10 @@ SIGN_CHARS = "+-0"
 def mask_of(indices: Iterable[int]) -> int:
     m = 0
     for i in indices:
-        m |= 1 << i
+        try:
+            m |= 1 << i
+        except ValueError:  # only a negative shift count: the index names no element
+            raise UnknownElementError(f"negative element index {i}") from None
     return m
 
 
@@ -153,7 +156,7 @@ class SignedSubset:
         return indices(self.neg)
 
     def sign(self, i: int) -> int:
-        b = self.ground.check_mask(1 << i)
+        b = self.ground.check_mask(mask_of([i]))
         if self.pos & b:
             return 1
         if self.neg & b:

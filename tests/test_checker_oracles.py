@@ -32,6 +32,7 @@ from omlab.oriented import (
     FA_CAP_DEFAULT,
     FOUR_P_CAP_DEFAULT,
     _exhaustive_paintings,
+    _fa_members,
     _live_planes,
     CEViolation,
     CircuitSignature,
@@ -834,6 +835,49 @@ def test_liveness_matches_contraction_on_random_clutters():
         assert_liveness_matches_contraction(ground.size, masks)
         non_matroids += isinstance(validate_circuits(ground, masks), CircuitViolation)
     assert non_matroids > 50
+
+
+def random_paving_matroid(n: int, rng: random.Random) -> Matroid:
+    """A random sparse paving matroid of rank 3: some triples meeting pairwise in at most one
+    element, and every 4-set that holds none of them.  A (C3)-valid clutter whose circuits interact."""
+    triples = list(itertools.combinations(range(n), 3))
+    rng.shuffle(triples)
+    lines, want = [], rng.randint(3, 8)
+    for t in triples:
+        if len(lines) < want and all(len(set(t) & set(u)) <= 1 for u in lines):
+            lines.append(t)
+    quads = [q for q in itertools.combinations(range(n), 4) if not any(set(t) <= set(q) for t in lines)]
+    got = validate_circuits(GroundSet.range(n), [mask_of(c) for c in lines + quads])
+    assert isinstance(got, Matroid)
+    return got
+
+
+@pytest.mark.parametrize("case", ["alt9", "paving9"])
+def test_fa_members_liveness_matches_contraction_in_every_block(case):
+    # each block's live bits come from that block's own planes, so where its
+    # prefix contracts or deletes element 0 the members must see it
+    rng = random.Random(7)
+    if case == "alt9":
+        pair = alternating_rank2(9)
+        circ_pairs, cocirc_pairs = pair.circuit_sig.pair_masks(), pair.cocircuit_sig.pair_masks()
+        m = pair.matroid
+    else:
+        m = random_paving_matroid(9, rng)  # (FA) liveness ignores signs: any signing serves
+        circ_pairs, cocirc_pairs = ([(s, 0, s) for s in side.circuit_masks] for side in (m, m.dual()))
+    prefixes = []
+    for batch in _exhaustive_paintings(9):
+        _, full, colors_of = batch
+        circ, cocirc = _fa_members(circ_pairs, cocirc_pairs, batch)
+        assert [x[:3] for x in circ] == circ_pairs and [x[:3] for x in cocirc] == cocirc_pairs
+        for j in rng.sample(range(full.bit_length()), 300):
+            colors = colors_of(j)
+            for members, side, color in ((circ, m, 2), (cocirc, m.dual(), 3)):
+                f = mask_of(e for e, c in enumerate(colors) if c == color)
+                minor = set(contraction_circuit_masks(side.circuit_masks, f))
+                want = [int((s & ~f) in minor) for _, _, s, _ in members]
+                assert [live >> j & 1 for *_, live in members] == want, (j, f)
+        prefixes.append(colors_of(0)[0])
+    assert prefixes == [0, 1, 2, 3]  # element 0 kept, reversed, contracted, deleted
 
 
 def test_fa_matches_scalar_on_alt9():

@@ -287,6 +287,8 @@ def test_fundamental_circuit_validates():
     m = u24()
     with pytest.raises(DomainError):
         m.fundamental_circuit([0, 1, 2], 3)  # not a basis
+    with pytest.raises(DomainError, match="not a basis"):
+        m.fundamental_circuit([0], 3)  # independent but too small
     with pytest.raises(DomainError):
         m.fundamental_circuit([0, 1], 1)  # already inside
 

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import corrupt_pair, fig4_digraph, random_free_lineset, triangle
 from omlab import Digraph, graphic_om, u3_signature
-from omlab.errors import CapExceededError, DomainError, ValidationError
+from omlab.errors import CapExceededError, DomainError, UnknownElementError, ValidationError
 from omlab.lines import lex_canonical
 from omlab.matroid import Matroid, MinorSpec
 from omlab.oriented import (
@@ -438,7 +438,7 @@ def test_exhaust_or_sample_contract(axiom, check):
 
 
 def test_fa_cap_comes_before_its_tables():
-    # the liveness tables of alt-40 would hold 2^40 bits each: never built
+    # exhaustive alt-40 would run 4^32 blocks of 4^8 paintings: the cap refuses it first
     with pytest.raises(CapExceededError) as info:
         check_FA(alternating_rank2(40))
     assert str(info.value) == "exhaustive (FA) needs ground size <= 8 (got 40); use sampling instead"
@@ -718,3 +718,25 @@ def test_checkers_invariant_under_reorientation():
         assert bool(check_CE(re.circuit_sig)) == bool(check_CE(pair.circuit_sig))
         assert bool(check_4P(re)) == bool(check_4P(pair))
         assert bool(check_FA(re)) == bool(check_FA(pair))
+
+
+ALT4 = alternating_rank2(4)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: induced_signature(ALT4, MinorSpec.of(contract=[-1])),
+        lambda: ALT4.matroid.fundamental_circuit(0b11, -1),
+        lambda: ALT4.circuit_sig.by_support([-1, 0]),
+        lambda: ALT4.matroid.rank([-2]),
+        lambda: ALT4.circuit_sig.reorient([-1]),
+        lambda: ALT4.matroid.cocircuit_through_pair(0b111, -1, 0),
+        lambda: ALT4.circuit_sig.representatives()[0].sign(-1),
+    ],
+    ids=["minor", "fundamental_circuit", "by_support", "rank", "reorient", "cocircuit_through_pair", "sign"],
+)
+def test_negative_element_index_is_unknown_element(call):
+    # 1 << -1 is a ValueError in Python; a negative index names no element
+    with pytest.raises(UnknownElementError):
+        call()
