@@ -358,7 +358,8 @@ def disjoint_cocircuit_decomposition(pair: SignaturePair, g: SignedSubset) -> li
             - (c.pos & g.neg).bit_count() - (c.neg & g.pos).bit_count()
         if total != 0:
             raise DomainError(f"hypothesis fails: circuit {c} has signed sum {total} against the input")
-    members = sorted(pair.cocircuit_sig.signed, key=lambda s: s.sort_key())
+    # each representative, then its negative: the members in sort_key order
+    members = [x for u in pair.cocircuit_sig.representatives() for x in (u, -u)]
     remaining = g.support
     out: list[SignedSubset] = []
     while remaining:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DomainError, InvariantError
+from .errors import DomainError, InvariantError, UnknownElementError
 from .matroid import Matroid
 from .oriented import CircuitSignature, DeriveFailure, SignaturePair, Verdict, derive_cocircuit_signature
 from .signed_sets import GroundSet, SignedSubset, mask_of
@@ -147,6 +147,8 @@ def cocircuit_signing(q: LineSet, a: int, b: int, *, negative_points: bool = Fal
     which yields exactly the opposite signing.
     """
     n = len(q.lines)
+    if not (0 <= a < n and 0 <= b < n):
+        raise UnknownElementError(f"line indices ({a}, {b}) outside 0..{n - 1}")
     ground = GroundSet.range(n)
     normal = pair_normal(q.lines[a], q.lines[b]).vec
     pos = neg = 0
@@ -221,41 +223,28 @@ def _plane_basis(normal: Vec) -> tuple[Vec, Vec]:
     return u, w
 
 
-def _new_tuples(bound: int) -> Iterator[tuple[int, int, int, int, int]]:
-    """Admissible index 5-tuples whose largest entry is ``bound - 1``.
-
-    Tuple (p1,p2,p3,p4,p5): p1 != p2, p3 != p4, the pairs share at most one
-    index, and p5 avoids all four.
-    """
-    for t in itertools.product(range(bound), repeat=5):
-        p1, p2, p3, p4, p5 = t
-        if max(t) != bound - 1:
-            continue
-        if p1 == p2 or p3 == p4:
-            continue
-        if len({p1, p2} & {p3, p4}) > 1:
-            continue
-        if p5 in (p1, p2, p3, p4):
-            continue
-        yield t
-
-
-def _tuple_key(t: tuple[int, int, int, int, int]) -> tuple:
-    overlap = len({t[0], t[1]} & {t[2], t[3]})
-    return (overlap, max(t), t)
+def _distinct_tuples() -> Iterator[tuple[int, int, int, int, int]]:
+    """Index 5-tuples of distinct entries, by largest entry, then lexicographically."""
+    for top in itertools.count(4):
+        for t in itertools.permutations(range(top + 1), 5):
+            if top in t:
+                yield t
 
 
 def neat_prefix(n: int, seed: int = 0) -> LineSet:
     """A free line set grown by the plane-completion recursion.
 
-    Each step consults one admissible index 5-tuple over the lines built so
-    far (tuples with two disjoint spanning pairs first, so the completion
-    branch is exercised early).  When no earlier line already completes the
-    tuple's plane triple, the new line is placed in the plane spanned by the
-    tuple's fifth line and the intersection of its two pair planes; otherwise
-    in the first generic plane containing no earlier line.  Within the plane
-    the direction avoids every plane spanned by two earlier lines; the scan
-    offset is derived from ``seed``.
+    Step i consults the next 5-tuple (p1,...,p5) of distinct line indices, by
+    largest entry and then lexicographically, once that entry is below i.
+    Unless an earlier line already completes the tuple's plane triple, the new
+    line lies in the plane through line p5 and the meet of the planes (p1 p2)
+    and (p3 p4); otherwise in the first generic plane containing no earlier
+    line.  Within the plane the direction avoids every plane spanned by two
+    earlier lines, so the prefix is free; ``seed`` offsets the scan.
+
+    Tuples whose pairs share a line s are left out, as they never determine a
+    plane: (p1 p2), (p3 p4) and (p5 s) all contain s, so their normals are
+    coplanar.  With disjoint pairs, admissible means five distinct indices.
 
     Only the recursion itself is realized: neatness is an asymptotic property
     of infinite dense sets, meaningless for a finite prefix, so the output is
@@ -264,14 +253,13 @@ def neat_prefix(n: int, seed: int = 0) -> LineSet:
     if n < 0:
         raise DomainError("size must be non-negative")
     lines: list[Line] = []
-    pending: list[tuple] = []
+    tuples = _distinct_tuples()
+    tup = next(tuples)
     for i in range(n):
-        pending.extend(_new_tuples(i))
-        pending.sort(key=_tuple_key)
         plane_normal = None
-        if pending:
-            tup = pending.pop(0)
-            plane_normal = _determined_normal(lines, tup, i)
+        if max(tup) < i:
+            plane_normal = _determined_normal(lines, tup)
+            tup = next(tuples)
         if plane_normal is None:
             plane_normal = _generic_normal(lines)
         lines.append(_pick_in_plane(lines, plane_normal, seed))
@@ -282,19 +270,15 @@ def neat_prefix(n: int, seed: int = 0) -> LineSet:
     return out
 
 
-def _determined_normal(lines: list[Line], tup: tuple[int, ...], i: int) -> Vec | None:
-    if any(p >= i for p in tup):
-        return None
+def _determined_normal(lines: list[Line], tup: tuple[int, ...]) -> Vec | None:
     p1, p2, p3, p4, p5 = tup
     n12 = _cross(lines[p1].vec, lines[p2].vec)
     n34 = _cross(lines[p3].vec, lines[p4].vec)
     meet = _cross(n12, n34)
     if meet == (0, 0, 0):
         return None
-    for j in range(i):
-        if j == p5:
-            continue
-        n5j = _cross(lines[p5].vec, lines[j].vec)
+    for line in lines:
+        n5j = _cross(lines[p5].vec, line.vec)
         if n5j != (0, 0, 0) and det3(n12, n34, n5j) == 0:
             return None
     h = _cross(lines[p5].vec, meet)

@@ -195,7 +195,7 @@ class EliminationInstance:
         for x, cx in self.members:
             if cx.ground != c.ground:
                 raise GroundMismatchError("elimination family mixes ground sets")
-            xb = 1 << x
+            xb = mask_of([x])
             if not c.support & xb:
                 raise DomainError(f"{x} is not in the support of the eliminated circuit")
             if cx.support & self.x_mask != xb:
@@ -204,7 +204,7 @@ class EliminationInstance:
             if not sep & xb:
                 raise DomainError(f"{x} must be a separating element of C and C_{x}")
             sep_union |= sep
-        fb = 1 << self.retained
+        fb = mask_of([self.retained])
         if not c.support & fb or sep_union & fb:
             raise DomainError("retained element must lie in C's support outside every separator")
 
@@ -433,6 +433,8 @@ def induced_sets(pair: SignaturePair, spec: MinorSpec, mode: str = "circuits") -
     minor; ``"tilde"`` drops that support condition; ``"vectors"`` restricts
     whole (co)vectors.  The latter two are experimental alternatives.
     """
+    if mode not in ("circuits", "tilde", "vectors"):
+        raise DomainError(f"unknown induced-sets mode {mode!r}: expected 'circuits', 'tilde' or 'vectors'")
     n, _ = pair.matroid.minor_with_map(spec)
     down = relabel(spec.contract_mask | spec.delete_mask)
     sides = []
@@ -462,6 +464,20 @@ def induced_sets(pair: SignaturePair, spec: MinorSpec, mode: str = "circuits") -
 # Farkas property
 
 
+def _positive_sides(
+    s_members: Iterable[SignedSubset], t_members: Iterable[SignedSubset], ground: GroundSet
+) -> tuple[list[SignedSubset], list[SignedSubset]]:
+    """The positive members of each (FP) side; every member must live on ``ground``."""
+    sides = ([], [])
+    for side, members in zip(sides, (s_members, t_members)):
+        for x in members:
+            if x.ground != ground:
+                raise GroundMismatchError("FP sides live on different ground sets")
+            if x.is_positive():
+                side.append(x)
+    return sides
+
+
 def fp_report(
     s_members: Iterable[SignedSubset], t_members: Iterable[SignedSubset], ground: GroundSet
 ) -> dict[int, tuple[str, SignedSubset] | None]:
@@ -470,8 +486,8 @@ def fp_report(
     An element mapping to None or to witnesses on both sides violates (FP);
     "positive" requires a nonempty support, so the empty subset never counts.
     """
-    s_pos = sorted((x for x in s_members if x.is_positive()), key=lambda x: x.sort_key())
-    t_pos = sorted((x for x in t_members if x.is_positive()), key=lambda x: x.sort_key())
+    sides = _positive_sides(s_members, t_members, ground)
+    s_pos, t_pos = (sorted(side, key=lambda x: x.sort_key()) for side in sides)
     report: dict[int, tuple[str, SignedSubset] | None] = {}
     for e in range(ground.size):
         b = 1 << e
@@ -490,17 +506,8 @@ def check_FP(
     s_members: Iterable[SignedSubset], t_members: Iterable[SignedSubset], ground: GroundSet
 ) -> Verdict:
     """(FP): each element lies in a positive member of exactly one side."""
-    s_cover = t_cover = 0
-    for x in s_members:
-        if x.ground != ground:
-            raise GroundMismatchError("FP sides live on different ground sets")
-        if x.is_positive():
-            s_cover |= x.pos
-    for y in t_members:
-        if y.ground != ground:
-            raise GroundMismatchError("FP sides live on different ground sets")
-        if y.is_positive():
-            t_cover |= y.pos
+    sides = _positive_sides(s_members, t_members, ground)
+    s_cover, t_cover = (functools.reduce(int.__or__, (x.pos for x in side), 0) for side in sides)
     fp = _fp_violation(s_cover, t_cover, ground.full_mask)
     return Verdict(True) if fp is None else Verdict(False, fp)
 
@@ -947,7 +954,7 @@ def eliminate_avoiding(pair: SignaturePair, inst: EliminationInstance, offending
     for _, cx in inst.members:
         apos |= cx.pos
         aneg |= cx.neg
-    off = 1 << offending
+    off = mask_of([offending])
     if not ((base.neg & (apos & ~aneg) & off) or (base.pos & (aneg & ~apos) & off)):
         raise DomainError(f"element {offending} is not an offending element for the derived circuit")
     return _eliminate(pair, inst, avoid=off)
@@ -994,36 +1001,32 @@ def _eliminate(pair: SignaturePair, inst: EliminationInstance, avoid: int) -> Si
 
 
 def vectors(sig: CircuitSignature, support_cap: int | None = None) -> frozenset[SignedSubset]:
-    """All compositions of signed circuits: binary-composition fixpoint.
+    """All compositions of signed circuits, as a fixpoint of right composition.
 
-    ``support_cap`` prunes to vectors with support size at most the cap;
-    pruning is safe because composition only grows supports.
+    Every composition is a left fold c1∘c2∘…∘ck of signed members, and a member
+    that adds no support changes nothing, so each vector found is composed on
+    the right with each member that adds support.  ``support_cap`` prunes to
+    vectors with support size at most the cap; pruning is safe because
+    composition only grows supports.
     """
-    ground = sig.ground
-
-    def keep(p: int, n: int) -> bool:
-        return support_cap is None or (p | n).bit_count() <= support_cap
-
+    members = sig.member_masks()
     result: set[tuple[int, int]] = set()
     queue: deque[tuple[int, int]] = deque()
-    for s in sig.signed:
-        key = (s.pos, s.neg)
-        if keep(*key) and key not in result:
-            result.add(key)
-            queue.append(key)
+
+    def add(p: int, n: int) -> None:
+        if (support_cap is None or (p | n).bit_count() <= support_cap) and (p, n) not in result:
+            result.add((p, n))
+            queue.append((p, n))
+
+    for p, n, _ in members:
+        add(p, n)
     while queue:
         xp, xn = queue.popleft()
         xs = xp | xn
-        for yp, yn in list(result):
-            ys = yp | yn
-            for key in (
-                (xp | (yp & ~xs), xn | (yn & ~xs)),
-                (yp | (xp & ~ys), yn | (xn & ~ys)),
-            ):
-                if keep(*key) and key not in result:
-                    result.add(key)
-                    queue.append(key)
-    return frozenset(SignedSubset(ground, p, n) for p, n in result)
+        for p, n, s in members:
+            if s & ~xs:
+                add(xp | (p & ~xs), xn | (n & ~xs))
+    return frozenset(SignedSubset(sig.ground, p, n) for p, n in result)
 
 
 def conformal_decompose(
@@ -1050,7 +1053,8 @@ def conformal_decompose(
             raise DomainError(f"target is not orthogonal to cocircuit {u}")
     chosen: list[SignedSubset] = []
     seen: set[SignedSubset] = set()
-    reps = sorted(pair.circuit_sig.signed, key=lambda s: s.sort_key())
+    # each representative, then its negative: the members in sort_key order
+    reps = [c for r in pair.circuit_sig.representatives() for c in (r, -r)]
     for e in bits(target.support):
         b = 1 << e
         hit = next((c for c in reps if c.support & b and c.conforms_to(target)), None)

@@ -5,10 +5,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_free_lineset
-from omlab.errors import DomainError
+from omlab.errors import DomainError, UnknownElementError
 from omlab.lines import (
     Line,
     LineSet,
+    _determined_normal,
+    _generic_normal,
+    _pick_in_plane,
     cocircuit_signing,
     det3,
     is_free,
@@ -168,6 +171,13 @@ def test_antipodal_construction_is_opposite():
         assert cocircuit_signing(q, a, b, negative_points=True) == -cocircuit_signing(q, a, b)
 
 
+@pytest.mark.parametrize("a, b", [(-1, 0), (0, -1), (0, 6), (0, 7)])
+def test_cocircuit_signing_rejects_unknown_line(a, b):
+    # the set is free, so an index outside it must not read as a coplanar line
+    with pytest.raises(UnknownElementError):
+        cocircuit_signing(neat_prefix(6), a, b)
+
+
 def test_u3_signature_preconditions():
     with pytest.raises(DomainError):
         u3_signature(LineSet.of([(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
@@ -238,3 +248,55 @@ def test_neat_prefix_exercises_plane_completion():
         if found:
             break
     assert found
+
+
+# -- oracle: the pending-queue prefix generator -----------------------------------------------
+
+
+def pending_tuples(bound: int):
+    """Admissible index 5-tuples whose largest entry is ``bound - 1``.
+
+    Tuple (p1,p2,p3,p4,p5): p1 != p2, p3 != p4, the pairs share at most one
+    index, and p5 avoids all four.
+    """
+    for t in itertools.product(range(bound), repeat=5):
+        p1, p2, p3, p4, p5 = t
+        if max(t) != bound - 1 or p1 == p2 or p3 == p4:
+            continue
+        if len({p1, p2} & {p3, p4}) > 1 or p5 in (p1, p2, p3, p4):
+            continue
+        yield t
+
+
+def pending_neat_prefix(n: int, seed: int = 0) -> LineSet:
+    """Every admissible tuple queued, disjoint pairs first, then by largest entry.
+
+    Step 4 pops a shared-pair tuple (no disjoint pair fits in four lines); from
+    step 5 on the disjoint-pair tuples, five distinct indices each, outnumber
+    the steps, so no shared-pair tuple is popped again.
+    """
+    lines = []
+    pending = []
+    for i in range(n):
+        pending.extend(pending_tuples(i))
+        pending.sort(key=lambda t: (len({t[0], t[1]} & {t[2], t[3]}), max(t), t))
+        plane_normal = _determined_normal(lines, pending.pop(0)) if pending else None
+        if plane_normal is None:
+            plane_normal = _generic_normal(lines)
+        lines.append(_pick_in_plane(lines, plane_normal, seed))
+    return LineSet(tuple(lines))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_neat_prefix_matches_pending_queue(seed):
+    # seeds 0-5 are the offsets rank3-construct draws; every prefix of the
+    # n = 11 set is the smaller prefix, so this covers every n <= 11
+    want = pending_neat_prefix(11, seed)
+    assert neat_prefix(11, seed) == want
+    assert all(neat_prefix(k, seed).lines == want.lines[:k] for k in range(11))
+
+
+def test_shared_pair_tuples_never_determine_a_plane():
+    lines = list(neat_prefix(9).lines)
+    shared = [t for b in range(10) for t in pending_tuples(b) if len({t[0], t[1]} & {t[2], t[3]}) == 1]
+    assert shared and all(_determined_normal(lines, t) is None for t in shared)

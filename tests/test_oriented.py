@@ -5,7 +5,7 @@ import pytest
 
 from conftest import corrupt_pair, fig4_digraph, random_free_lineset, triangle
 from omlab import Digraph, graphic_om, u3_signature
-from omlab.errors import CapExceededError, DomainError, UnknownElementError, ValidationError
+from omlab.errors import CapExceededError, DomainError, GroundMismatchError, UnknownElementError, ValidationError
 from omlab.lines import lex_canonical
 from omlab.matroid import Matroid, MinorSpec
 from omlab.oriented import (
@@ -733,10 +733,37 @@ ALT4 = alternating_rank2(4)
         lambda: ALT4.circuit_sig.reorient([-1]),
         lambda: ALT4.matroid.cocircuit_through_pair(0b111, -1, 0),
         lambda: ALT4.circuit_sig.representatives()[0].sign(-1),
+        lambda: EliminationInstance.of(fig4_instance()[1].circuit, {}, -1),
+        lambda: EliminationInstance.of(fig4_instance()[1].circuit, {-1: fig4_instance()[1].members[0][1]}, 0),
+        lambda: eliminate_avoiding(*fig4_instance(), -1),
     ],
-    ids=["minor", "fundamental_circuit", "by_support", "rank", "reorient", "cocircuit_through_pair", "sign"],
+    ids=[
+        "minor",
+        "fundamental_circuit",
+        "by_support",
+        "rank",
+        "reorient",
+        "cocircuit_through_pair",
+        "sign",
+        "retained",
+        "eliminated",
+        "offending",
+    ],
 )
 def test_negative_element_index_is_unknown_element(call):
     # 1 << -1 is a ValueError in Python; a negative index names no element
     with pytest.raises(UnknownElementError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: induced_sets(ALT4, MinorSpec.of(), mode="circuit"), DomainError),
+        (lambda: fp_report(alternating_rank2(5).circuit_sig.signed, [], ALT4.ground), GroundMismatchError),
+    ],
+    ids=["induced_sets_mode", "fp_report_ground"],
+)
+def test_unknown_mode_and_foreign_members_are_rejected(call, error):
+    with pytest.raises(error):
         call()
