@@ -354,7 +354,7 @@ def main(argv: list[str] | None = None) -> int:
             "or --trust-input to skip input validation\n"
         )
         return 2
-    except FormatError as exc:
+    except (FormatError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return 2
     except FileNotFoundError as exc:

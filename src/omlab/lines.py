@@ -275,16 +275,13 @@ def _determined_normal(lines: list[Line], tup: tuple[int, ...]) -> Vec | None:
     n12 = _cross(lines[p1].vec, lines[p2].vec)
     n34 = _cross(lines[p3].vec, lines[p4].vec)
     meet = _cross(n12, n34)
-    if meet == (0, 0, 0):
-        return None
+    # A zero meet zeroes every det3 below, so the loop returns None at the first line
+    # not parallel to p5; a zero normal puts p5 in plane (p1 p2): None at line p1.
     for line in lines:
         n5j = _cross(lines[p5].vec, line.vec)
         if n5j != (0, 0, 0) and det3(n12, n34, n5j) == 0:
             return None
-    h = _cross(lines[p5].vec, meet)
-    if h == (0, 0, 0):
-        return None
-    return h
+    return _cross(lines[p5].vec, meet)
 
 
 def _generic_normal(lines: list[Line]) -> Vec:

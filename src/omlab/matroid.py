@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import CapExceededError, DomainError, InvariantError, ValidationError
 from .signed_sets import GroundSet, bits, indices, mask_of
@@ -268,12 +268,13 @@ def validate_circuits(
     c3_cap: int = C3_CAP_DEFAULT,
     trusted: bool = False,
 ) -> Matroid | CircuitViolation:
-    """Check (C1), (C2) and the finite elimination axiom (C3) exhaustively.
+    """Check (C1), (C2) and the finite elimination axiom (C3).
 
-    Returns the matroid on success, otherwise the first violation found in
-    canonical scan order.  ``trusted=True`` skips (C3); otherwise ground sets
-    larger than ``c3_cap`` are refused because the (C3) enumeration is
-    exponential.
+    (C3) is decided from its single-element instances; families are searched
+    only to name the first violation in canonical scan order, which is then
+    returned, else the matroid.  ``trusted=True`` skips (C3); otherwise
+    ground sets larger than ``c3_cap`` are refused because the (C3) search
+    is exponential.
     """
     masks = _canonical(
         (c if isinstance(c, int) else mask_of(c)) for c in family
@@ -311,36 +312,63 @@ def validate_circuits(
 def _find_c3_violation(masks: tuple[int, ...]) -> tuple[int, int, tuple[int, ...], int] | None:
     """First (C, X, family, f) for which strong elimination has no witness.
 
-    Circuits C and subsets X of C go in canonical order.  The union to blame
-    is the one met first with each member's options taken in reverse
+    Circuits C and subsets X of C go in canonical order, once
+    :func:`_elimination_scan` has failed an instance with |X| = 1.  The union
+    to blame is the one met first with each member's options taken in reverse
     canonical order; the family reported is the first, in canonical order,
-    with that union.  Both come from :func:`_first_bad_family`, and a
-    retained f is covered when :func:`_cover` finds a circuit through f
-    inside (C | union) minus X.
+    with that union.  Both come from :func:`_first_bad_family`, and a retained
+    f is covered when :func:`_cover` finds a circuit through f inside
+    (C | union) minus X.
     """
     n = max(masks, default=0).bit_length()
     cover = _cover(masks, n)
     through = [[d for d in masks if d >> e & 1] for e in range(n)]
-    for c in masks:
-        xs = list(bits(c))
-        for size in range(1, len(xs) + 1):
-            for x_combo in itertools.combinations(xs, size):
-                x = mask_of(x_combo)
-                cand = [[d for d in through[xi] if not d & x & ~(1 << xi)] for xi in x_combo]
-                if not all(cand):
-                    continue
 
-                def bad(u: int) -> int:
-                    return c & ~u & ~cover((c | u) & ~x)
+    def instance(i: int, x_combo: tuple[int, ...]):
+        x = mask_of(x_combo)
+        return masks[i], x, [[d for d in through[xi] if not d & x & ~(1 << xi)] for xi in x_combo]
 
-                found = _first_bad_family([opts[::-1] for opts in cand], bad)
-                if found is None:
-                    continue
-                u = found[1]
-                fam, _ = _first_bad_family(cand, lambda v: v == u)
-                got = bad(u)
-                return c, x, fam, (got & -got).bit_length() - 1
-    return None
+    def first_bad(inst) -> tuple[int, int, tuple[int, ...], int] | None:
+        c, x, cand = inst
+
+        def bad(u: int) -> int:
+            return c & ~u & ~cover((c | u) & ~x)
+
+        found = _first_bad_family([opts[::-1] for opts in cand], bad)
+        if found is None:
+            return None
+        fam, u = _first_bad_family(cand, lambda v: v == found[1])
+        got = bad(u)
+        return c, x, fam, (got & -got).bit_length() - 1
+
+    return next(filter(None, map(first_bad, _elimination_scan(masks, instance, first_bad))), None)
+
+
+def _elimination_scan(supports: Sequence[int], instance, first_bad) -> Iterator:
+    """The instances an exhaustive (C3) or (CE) scan visits: all of them, or none.
+
+    ``instance(i, x_combo)`` eliminates ``x_combo`` from support i; instances go by
+    support, size of X and X, in canonical order (one whose element has no
+    option has no family, so ``first_bad`` passes it).  None is yielded when
+    ``first_bad`` passes every |X| = 1 instance, as then all pass.  Proof:
+    eliminate x1, ..., xk from C_0 = C in turn; C_j is C_(j-1) if x_j is not in
+    it, else the witness through f of (C_(j-1), x_j, D_xj).  D_xj avoids X minus
+    x_j, so nothing leaves the signed union of C and the D's minus X, where
+    x_(j+1) has C's sign only: C_j still carries it.  f keeps its sign, as no D
+    opposes f.  Negating an instance negates its witness.  This is how finite
+    matroids satisfy the infinite elimination axiom (Bruhn, Diestel, Kriesell,
+    Pendavingh and Wollan, "Axioms for infinite matroids", Adv. Math. 2013).
+    """
+
+    def instances(singles: bool):
+        for i, s in enumerate(supports):
+            xs = list(bits(s))
+            for size in range(1, 2 if singles else len(xs) + 1):
+                for x_combo in itertools.combinations(xs, size):
+                    yield instance(i, x_combo)
+
+    if any(map(first_bad, instances(True))):
+        yield from instances(False)
 
 
 def _first_bad_family(opts: list[list[int]], bad) -> tuple[tuple[int, ...], int] | None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .errors import CapExceededError, DomainError, GroundMismatchError, InvariantError, ValidationError
-from .matroid import Matroid, MinorSpec, _cover, _first_bad_family, relabel
+from .matroid import Matroid, MinorSpec, _cover, _elimination_scan, _first_bad_family, relabel
 from .signed_sets import GroundSet, SignedSubset, bits, indices, mask_of
 
 FOUR_P_CAP_DEFAULT = 10
@@ -711,8 +711,9 @@ def check_CE(
     OR of its members, so ``matroid._first_bad_family`` searches the
     distinct unions and returns the first failing family in enumeration
     order, and the bit-sliced ``matroid._cover`` tells which retained
-    elements an admissible member covers.  A sampled draw is one such
-    instance with one drawn member per level and one drawn retained element.
+    elements an admissible member covers, once ``matroid._elimination_scan``
+    has failed an instance with |X| = 1; a pass needs no family.  A sampled
+    draw is one instance with one drawn member per level and one retained f.
     """
     ground = sig.ground
     n = ground.size
@@ -736,14 +737,8 @@ def check_CE(
             cand.append([d for d in against[xi][cm >> xi & 1] if not d & others])
         return cand
 
-    def exhaustive():
-        for c in reps:
-            xs = list(bits(c.support))
-            for size in range(1, len(xs) + 1):
-                for x_combo in itertools.combinations(xs, size):
-                    cand = options(c.neg, x_combo)
-                    if all(cand):
-                        yield c, x_combo, cand, c.support
+    def instance(i: int, x_combo: tuple[int, ...]):
+        return reps[i], x_combo, options(reps[i].neg, x_combo), reps[i].support
 
     def sampled(rng: random.Random):
         nonlocal tested
@@ -787,6 +782,7 @@ def check_CE(
         family = {xi: SignedSubset(ground, d & full, d >> n) for xi, d in zip(x_combo, fam)}
         return CEViolation(EliminationInstance.of(c, family, (got & -got).bit_length() - 1))
 
+    exhaustive = functools.partial(_elimination_scan, [c.support for c in reps], instance, first_bad)
     verdict = _exhaust_or_sample("CE", "instances", n, cap, sample, seed, exhaustive, sampled, first_bad)
     if sample is None:
         return verdict

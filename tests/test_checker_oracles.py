@@ -6,6 +6,7 @@ transcription of the definitions on small instances, including corrupted
 ones where violations must be found.
 """
 
+import contextlib
 import functools
 import itertools
 import random
@@ -17,8 +18,9 @@ from hypothesis import strategies as st
 from conftest import corrupt_pair, fig4_digraph, triangle
 from omlab.digraphs import Digraph, graphic_om
 from omlab.errors import CapExceededError, DomainError, InvariantError, ValidationError
-from omlab import oriented
+from omlab import matroid, oriented, u3_signature
 from omlab.formats import emit_oriented
+from omlab.lines import neat_prefix
 from omlab.matroid import (
     CircuitViolation,
     Matroid,
@@ -421,6 +423,99 @@ def test_ce_sampled_matches_scalar_on_pool(instance_pool):
             assert got.detail == f"sampled 40 instances, seed={index}, {tested} admissible tested"
             failing += not got.ok
     assert failing > 20
+
+
+# -- the single-element decision: a scan searches families only after a
+# failing |X| = 1 instance.  Whole verdicts cannot show a pre-test that is too
+# strict, since it falls back to the same search, so the decision itself is
+# recorded and compared with the depth-first scans' pass or fail.
+
+
+@contextlib.contextmanager
+def recorded_decisions():
+    """Per elimination scan run inside the block: did some |X| = 1 instance fail?"""
+    real = matroid._elimination_scan
+    decided = []
+
+    def spy(supports, instance, first_bad):
+        scan = list(real(supports, instance, first_bad))
+        decided.append(bool(scan))
+        return scan
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matroid, "_elimination_scan", spy)
+        mp.setattr(oriented, "_elimination_scan", spy)
+        yield decided
+
+
+def single_fails_ce(sig: CircuitSignature) -> bool:
+    with recorded_decisions() as decided:
+        check_CE(sig)
+    (fails,) = decided
+    return fails
+
+
+def single_fails_c3(ground: GroundSet, masks: tuple[int, ...]) -> bool:
+    with recorded_decisions() as decided:
+        validate_circuits(ground, masks)
+    (fails,) = decided
+    return fails
+
+
+@functools.cache
+def dfs_ce_fails(sig: CircuitSignature) -> bool:
+    return not dfs_check_ce(sig).ok
+
+
+def test_single_element_c3_decision_is_exact_on_random_clutters():
+    failing = 0
+    for seed in range(600):
+        ground, masks = random_clutter(random.Random(seed))
+        fails = isinstance(dfs_c3_verdict(ground, masks), CircuitViolation)
+        assert single_fails_c3(ground, masks) == fails, seed
+        failing += fails
+    assert 100 < failing < 500
+
+
+def test_single_element_decisions_are_exact_on_pool(instance_pool):
+    seen = set()
+    failing = {"C3": 0, "CE": 0}
+    for inst in instance_pool:
+        m = inst.pair.matroid
+        for side in (m, m.dual()):
+            if side not in seen:
+                seen.add(side)
+                fails = isinstance(dfs_c3_verdict(side.ground, side.circuit_masks), CircuitViolation)
+                assert single_fails_c3(side.ground, side.circuit_masks) == fails, inst.name
+                failing["C3"] += fails
+        for sig in (inst.pair.circuit_sig, inst.pair.cocircuit_sig):
+            fails = dfs_ce_fails(sig)
+            assert single_fails_ce(sig) == fails, inst.name
+            failing["CE"] += fails
+    assert failing == {"C3": 0, "CE": 57}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(CE_BASES), st.integers(0, 2**32 - 1))
+def test_single_element_ce_decision_is_exact_on_mutants(base, seed):
+    mutant = corrupt_pair(base, random.Random(seed))
+    for sig in (mutant.circuit_sig, mutant.cocircuit_sig):
+        assert single_fails_ce(sig) == dfs_ce_fails(sig)
+
+
+# rank 3, where families with |X| >= 2 occur: circuits have four elements
+RANK3_BASES = [u3_signature(neat_prefix(n, s)) for n in (7, 8) for s in (0, 1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(RANK3_BASES), st.integers(0, 2**32 - 1))
+def test_single_element_ce_decision_is_exact_on_rank3_multi_flips(base, seed):
+    rng = random.Random(seed)
+    mutant = base
+    for _ in range(rng.randint(2, 4)):
+        mutant = corrupt_pair(mutant, rng)
+    for sig in (mutant.circuit_sig, mutant.cocircuit_sig):
+        assert single_fails_ce(sig) == dfs_ce_fails(sig)
 
 
 # -- subset-scan dual: the cocircuit search the hyperplane dual replaced

@@ -1,7 +1,13 @@
-import pytest
+import contextlib
+import io
 
-from conftest import fig4_digraph
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import fig4_digraph, triangle
 from omlab.cli import main
+from omlab.digraphs import graphic_om
 from omlab.formats import emit_digraph, emit_oriented, parse_oriented
 from omlab.oriented import alternating_rank2
 
@@ -63,6 +69,85 @@ def test_check_corrupted_fa_witness_names_minor_and_reorientation(alt5_file, tmp
     code, out, _ = run(capsys, "check", str(path), "--which", "FA")
     assert code == 1
     assert "contract=" in out and "reorient=" in out
+
+
+def test_check_ce_witness_bytes_after_a_failing_single(alt5_file, tmp_path, capsys):
+    # one flipped circuit sign fails a single-element instance, so the
+    # family search runs and names the first witness in enumeration order
+    path = tmp_path / "flip.om"
+    path.write_text(open(alt5_file).read().replace("+0-+0", "+0++0", 1))
+    code, out, _ = run(capsys, "check", str(path), "--which", "CE")
+    assert code == 1
+    assert out == (
+        f"subject: {path}\n"
+        "check CE: fail witness: no admissible circuit through 2 when eliminating [1] from +-+00\n"
+        "verdict: fail\n"
+    )
+
+
+def test_c3_violation_bytes(tmp_path, capsys):
+    # the first (C3) witness eliminates two elements, X = {a, c} from abcd
+    path = tmp_path / "c3.om"
+    path.write_text(
+        "a,b,c,d,e\na,b,c,d\na,b,e\na,d,e\nb,c,e\nc,d,e\n\n"
+        "++++0\n++00+\n+00++\n0++0+\n00+++\n\n+++++\n"
+    )
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out) == (2, "")
+    assert err == (
+        "parse error: line 1: not a matroid: (C3) no circuit through 1 inside the allowed union "
+        "for C=[0, 1, 2, 3], X=[0, 2]\n"
+    )
+
+
+def test_check_non_utf8_file_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "binary.om"
+    path.write_bytes(b"1,2\xff\n")
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out) == (2, "")
+    assert err == "parse error: 'utf-8' codec can't decode byte 0xff in position 3: invalid start byte\n"
+
+
+FUZZ_PAIRS = (alternating_rank2(4), alternating_rank2(5), graphic_om(triangle()), graphic_om(fig4_digraph()))
+FUZZ_BASES = [emit_oriented(pair).encode() for pair in FUZZ_PAIRS]
+# a splice replaces bytes [at, at + cut) of the file with the inserted bytes
+FUZZ_SPLICE = st.tuples(
+    st.integers(0, 200),
+    st.integers(0, 3),
+    st.lists(st.sampled_from(b"+-0,1a \n\xff"), max_size=3).map(bytes) | st.binary(max_size=3),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "mutant.om"
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(FUZZ_BASES),
+    st.lists(st.integers(0, 200), max_size=3),
+    st.lists(FUZZ_SPLICE, max_size=3),
+    st.sampled_from(["check", "derive", "dual"]),
+)
+def test_cli_survives_mutated_om_files(fuzz_file, base, flips, splices, command):
+    # sign flips keep a file parseable, so the checks themselves run on it
+    data = bytearray(base)
+    signs = [i for i, b in enumerate(data) if b in b"+-"]
+    for k in flips:
+        data[signs[k % len(signs)]] ^= ord("+") ^ ord("-")
+    for at, cut, inserted in splices:
+        at %= len(data) + 1
+        data[at : at + cut] = inserted
+    fuzz_file.write_bytes(bytes(data))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, str(fuzz_file)])
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out + err
+    if code == 1:
+        assert "verdict: fail" in out or err.startswith("derivation failed:")
 
 
 def test_check_unknown_name_usage_error(alt5_file, capsys):
