@@ -448,16 +448,10 @@ def recorded_decisions():
         yield decided
 
 
-def single_fails_ce(sig: CircuitSignature) -> bool:
+def single_fails(check, *args) -> bool:
+    """Whether the one elimination scan of ``check(*args)`` failed an |X| = 1 instance."""
     with recorded_decisions() as decided:
-        check_CE(sig)
-    (fails,) = decided
-    return fails
-
-
-def single_fails_c3(ground: GroundSet, masks: tuple[int, ...]) -> bool:
-    with recorded_decisions() as decided:
-        validate_circuits(ground, masks)
+        check(*args)
     (fails,) = decided
     return fails
 
@@ -472,7 +466,7 @@ def test_single_element_c3_decision_is_exact_on_random_clutters():
     for seed in range(600):
         ground, masks = random_clutter(random.Random(seed))
         fails = isinstance(dfs_c3_verdict(ground, masks), CircuitViolation)
-        assert single_fails_c3(ground, masks) == fails, seed
+        assert single_fails(validate_circuits, ground, masks) == fails, seed
         failing += fails
     assert 100 < failing < 500
 
@@ -486,11 +480,11 @@ def test_single_element_decisions_are_exact_on_pool(instance_pool):
             if side not in seen:
                 seen.add(side)
                 fails = isinstance(dfs_c3_verdict(side.ground, side.circuit_masks), CircuitViolation)
-                assert single_fails_c3(side.ground, side.circuit_masks) == fails, inst.name
+                assert single_fails(validate_circuits, side.ground, side.circuit_masks) == fails, inst.name
                 failing["C3"] += fails
         for sig in (inst.pair.circuit_sig, inst.pair.cocircuit_sig):
             fails = dfs_ce_fails(sig)
-            assert single_fails_ce(sig) == fails, inst.name
+            assert single_fails(check_CE, sig) == fails, inst.name
             failing["CE"] += fails
     assert failing == {"C3": 0, "CE": 57}
 
@@ -500,7 +494,7 @@ def test_single_element_decisions_are_exact_on_pool(instance_pool):
 def test_single_element_ce_decision_is_exact_on_mutants(base, seed):
     mutant = corrupt_pair(base, random.Random(seed))
     for sig in (mutant.circuit_sig, mutant.cocircuit_sig):
-        assert single_fails_ce(sig) == dfs_ce_fails(sig)
+        assert single_fails(check_CE, sig) == dfs_ce_fails(sig)
 
 
 # rank 3, where families with |X| >= 2 occur: circuits have four elements
@@ -515,7 +509,7 @@ def test_single_element_ce_decision_is_exact_on_rank3_multi_flips(base, seed):
     for _ in range(rng.randint(2, 4)):
         mutant = corrupt_pair(mutant, rng)
     for sig in (mutant.circuit_sig, mutant.cocircuit_sig):
-        assert single_fails_ce(sig) == dfs_ce_fails(sig)
+        assert single_fails(check_CE, sig) == dfs_ce_fails(sig)
 
 
 # -- subset-scan dual: the cocircuit search the hyperplane dual replaced
