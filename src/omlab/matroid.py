@@ -61,17 +61,21 @@ class Matroid:
     """A finite matroid on a :class:`GroundSet`, stored by its circuit masks.
 
     Instances are immutable after construction; lazy caches (bases, dual,
-    ranks) are filled once and then only read.
+    ranks, contractions) are filled once and then only read.
     """
 
     def __init__(self, ground: GroundSet, circuit_masks: Iterable[int], _validated: bool = False):
         if not _validated:
             raise DomainError("use validate_circuits() or Matroid.from_circuits()")
+        self._set(ground, _canonical(circuit_masks))
+
+    def _set(self, ground: GroundSet, masks: tuple[int, ...]) -> None:
         self.ground = ground
-        self.circuit_masks = _canonical(circuit_masks)
+        self.circuit_masks = masks
         self._rank_cache: dict[int, int] = {}
         self._dual: "Matroid | None" = None
         self._bases: tuple[int, ...] | None = None
+        self._contractions: dict[int, tuple[int, ...]] = {}
 
     @classmethod
     def from_circuits(
@@ -91,9 +95,18 @@ class Matroid:
     def _from_valid(cls, ground: GroundSet, masks: Iterable[int]) -> "Matroid":
         return cls(ground, masks, _validated=True)
 
+    @classmethod
+    def _from_canonical(cls, ground: GroundSet, masks: tuple[int, ...]) -> "Matroid":
+        """Like :meth:`_from_valid` for masks already distinct and in canonical order."""
+        m = cls.__new__(cls)
+        m._set(ground, masks)
+        return m
+
     # -- identity ----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
+        if other is self:
+            return True
         if not isinstance(other, Matroid):
             return NotImplemented
         return self.ground == other.ground and self.circuit_masks == other.circuit_masks
@@ -172,6 +185,7 @@ class Matroid:
                 else:
                     hyperplanes.add(closure)
             self._dual = Matroid._from_valid(self.ground, (full & ~h for h in hyperplanes))
+            self._dual._dual = self
         return self._dual
 
     @property
@@ -184,15 +198,36 @@ class Matroid:
 
     # -- minors ---------------------------------------------------------------
 
+    def _contraction(self, f: int) -> tuple[int, ...]:
+        """``contraction_circuit_masks(self.circuit_masks, f)``, memoised per contracted mask."""
+        got = self._contractions.get(f)
+        if got is None:
+            got = self._contractions[f] = contraction_circuit_masks(self.circuit_masks, f)
+        return got
+
     def minor_with_map(self, spec: MinorSpec) -> tuple["Matroid", tuple[int, ...]]:
-        """Minor plus the kept old indices, in the order they become new indices."""
+        """Minor plus the kept old indices, in the order they become new indices.
+
+        The minor's circuits are the memoised contraction by f, minus those
+        meeting g, relabelled.  Relabelling keeps element order, so they stay
+        in canonical order.  When this matroid's dual is cached, the minor's
+        dual is built the same way, as (M/f\\g)* = M*\\f/g, and linked to it.
+        """
         f = self.ground.check_mask(spec.contract_mask)
         g = self.ground.check_mask(spec.delete_mask)
         kept = tuple(i for i in range(self.ground.size) if not ((f | g) >> i) & 1)
         new_ground = GroundSet(tuple(self.ground.labels[i] for i in kept))
         down = relabel(f | g)
-        new_masks = [down(c) for c in contraction_circuit_masks(self.circuit_masks, f) if not c & g]
-        return Matroid._from_valid(new_ground, new_masks), kept
+
+        def minor(m: Matroid, contract: int, delete: int) -> Matroid:
+            masks = tuple(down(c) for c in m._contraction(contract) if not c & delete)
+            return Matroid._from_canonical(new_ground, masks)
+
+        got = minor(self, f, g)
+        if self._dual is not None:
+            got._dual = minor(self._dual, g, f)
+            got._dual._dual = got
+        return got, kept
 
     def minor(self, spec: MinorSpec) -> "Matroid":
         return self.minor_with_map(spec)[0]

@@ -35,11 +35,12 @@ class CircuitSignature:
     """A symmetric signing of every circuit of a matroid.
 
     Exactly one opposite pair {C, -C} per circuit; a cocircuit signature of M
-    is a CircuitSignature over M.dual().
+    is a CircuitSignature over M.dual().  The pairs are held packed, as
+    (pos, neg, support) of the representative positive on its least element,
+    in canonical circuit order; signed members are built only when asked for.
     """
 
     def __init__(self, matroid: Matroid, signed: Iterable[SignedSubset]):
-        self.matroid = matroid
         members = frozenset(signed)
         supports: dict[int, list[SignedSubset]] = {}
         for x in members:
@@ -59,9 +60,24 @@ class CircuitSignature:
                 raise ValidationError(
                     f"support {sorted(bits(s))} must carry exactly one opposite pair of signings"
                 )
-        self.signed = members
-        # of an opposite pair, the least by sort_key is positive on its least element
-        self._rep_by_support = {s: group[0].canonical_rep() for s, group in supports.items()}
+        reps = tuple(supports[s][0].canonical_rep() for s in matroid.circuit_masks)
+        self._set(matroid, tuple((x.pos, x.neg, x.support) for x in reps))
+        self._signed, self._reps = members, reps
+
+    @classmethod
+    def _trusted(cls, matroid: Matroid, pairs: tuple[tuple[int, int, int], ...]) -> "CircuitSignature":
+        """A signature from packed pairs already valid: one per circuit of ``matroid``, in its
+        order, each positive on its least element.  Only the minor machinery builds these."""
+        sig = cls.__new__(cls)
+        sig._set(matroid, pairs)
+        return sig
+
+    def _set(self, matroid: Matroid, pairs: tuple[tuple[int, int, int], ...]) -> None:
+        self.matroid = matroid
+        self._pairs = pairs
+        self._signed: frozenset[SignedSubset] | None = None
+        self._reps: tuple[SignedSubset, ...] | None = None
+        self._rep_by_support: dict[int, SignedSubset] | None = None
 
     @classmethod
     def from_representatives(cls, matroid: Matroid, reps: Iterable[SignedSubset]) -> "CircuitSignature":
@@ -75,11 +91,22 @@ class CircuitSignature:
     def ground(self) -> GroundSet:
         return self.matroid.ground
 
+    @property
+    def signed(self) -> frozenset[SignedSubset]:
+        if self._signed is None:
+            self._signed = frozenset(y for x in self.representatives() for y in (x, -x))
+        return self._signed
+
     def representatives(self) -> tuple[SignedSubset, ...]:
-        return tuple(self._rep_by_support[s] for s in self.matroid.circuit_masks)
+        if self._reps is None:
+            ground = self.ground
+            self._reps = tuple(SignedSubset(ground, p, m) for p, m, _ in self._pairs)
+        return self._reps
 
     def by_support(self, support: int | Iterable[int]) -> SignedSubset:
         m = support if isinstance(support, int) else mask_of(support)
+        if self._rep_by_support is None:
+            self._rep_by_support = {x.support: x for x in self.representatives()}
         try:
             return self._rep_by_support[m]
         except KeyError:
@@ -91,10 +118,10 @@ class CircuitSignature:
     def __eq__(self, other) -> bool:
         if not isinstance(other, CircuitSignature):
             return NotImplemented
-        return self.matroid == other.matroid and self.signed == other.signed
+        return self.matroid == other.matroid and self._pairs == other._pairs
 
     def __hash__(self) -> int:
-        return hash((self.matroid, self.signed))
+        return hash((self.matroid, self._pairs))
 
     def reorient(self, a: int | Iterable[int]) -> "CircuitSignature":
         m = a if isinstance(a, int) else mask_of(a)
@@ -106,11 +133,11 @@ class CircuitSignature:
 
     def pair_masks(self) -> list[tuple[int, int, int]]:
         """(pos, neg, support) for one representative per opposite pair."""
-        return [(x.pos, x.neg, x.support) for x in self.representatives()]
+        return list(self._pairs)
 
     def member_masks(self) -> list[tuple[int, int, int]]:
         """(pos, neg, support) for every signed member: each representative, then its negative."""
-        return [x for p, m, s in self.pair_masks() for x in ((p, m, s), (m, p, s))]
+        return [x for p, m, s in self._pairs for x in ((p, m, s), (m, p, s))]
 
 
 class SignaturePair:
@@ -327,18 +354,22 @@ class DecomposeFailure:
 
 def check_orthogonality(pair: SignaturePair) -> Verdict:
     """(O): every signed circuit is orthogonal to every signed cocircuit."""
-    for c in pair.circuit_sig.representatives():
-        for u in pair.cocircuit_sig.representatives():
-            if not c.orthogonal(u):
-                return Verdict(False, OrthViolation(c, u))
-    return Verdict(True)
+    return _first_nonorthogonal(pair, lambda agree, disagree, common: common and not (agree and disagree))
 
 
 def check_orthogonality_sep(pair: SignaturePair) -> Verdict:
     """(O'): sep(C,U) nonempty iff sep(C,-U) nonempty, for all pairs."""
-    for c in pair.circuit_sig.representatives():
-        for u in pair.cocircuit_sig.representatives():
-            if bool(c.sep_mask(u)) != bool(c.sep_mask(-u)):
+    return _first_nonorthogonal(pair, lambda agree, disagree, common: bool(agree) != bool(disagree))
+
+
+def _first_nonorthogonal(pair: SignaturePair, bad) -> Verdict:
+    """The first pair of representatives C, U, circuits outermost, with ``bad(agree, disagree,
+    common)``: the masks where C and U have equal signs, opposite signs, and where both are nonzero."""
+    cocircuits = pair.cocircuit_sig.pair_masks()
+    for cp, cn, cs in pair.circuit_sig.pair_masks():
+        for up, un, us in cocircuits:
+            if bad(cp & up | cn & un, cp & un | cn & up, cs & us):
+                c, u = SignedSubset(pair.ground, cp, cn), SignedSubset(pair.ground, up, un)
                 return Verdict(False, OrthViolation(c, u))
     return Verdict(True)
 
@@ -406,15 +437,18 @@ def induced_signature(pair: SignaturePair, spec: MinorSpec) -> SignaturePair:
     to non-opposite signings, the induction is ill-defined and an upstream
     (O) violation is reported.
     """
-    got = induced_sets(pair, spec)
-    n = got.minor
-    sides = ((n, got.circuits_side), (n.dual(), got.cocircuits_side))
-    for matroid, members in sides:
-        if len(members) > 2 * len(matroid.circuit_masks):
+    n, sides = _restrictions(pair, spec, "circuits")
+    sigs = []
+    for matroid, side in zip((n, n.dual()), sides):
+        # every minor (co)circuit has a lift, so a second pair on a support shows as one too many
+        if len(side) > len(matroid.circuit_masks):
             raise ValidationError(
                 "induced signing depends on the choice of lift; the signature pair violates (O)"
             )
-    return SignaturePair(n, *(CircuitSignature(matroid, members) for matroid, members in sides))
+        pos = {s: p for p, s in side}
+        pairs = tuple((pos[s], s & ~pos[s], s) for s in matroid.circuit_masks)
+        sigs.append(CircuitSignature._trusted(matroid, pairs))
+    return SignaturePair(n, *sigs)
 
 
 class InducedSets(NamedTuple):
@@ -435,29 +469,41 @@ def induced_sets(pair: SignaturePair, spec: MinorSpec, mode: str = "circuits") -
     """
     if mode not in ("circuits", "tilde", "vectors"):
         raise DomainError(f"unknown induced-sets mode {mode!r}: expected 'circuits', 'tilde' or 'vectors'")
+    n, sides = _restrictions(pair, spec, mode)
+
+    def members(side: set[tuple[int, int]]) -> frozenset[SignedSubset]:
+        signed = (SignedSubset(n.ground, p, s & ~p) for p, s in side)
+        return frozenset(y for x in signed for y in (x, -x))
+
+    return InducedSets(*map(members, sides), n)
+
+
+def _restrictions(pair: SignaturePair, spec: MinorSpec, mode: str) -> tuple[Matroid, list[set[tuple[int, int]]]]:
+    """The minor, and per side the (pos, support) of its induced pairs, positive on the least element.
+
+    Restriction commutes with negation, so one member of each opposite pair
+    stands for both.
+    """
+    f, g = spec.contract_mask, spec.delete_mask
     n, _ = pair.matroid.minor_with_map(spec)
-    down = relabel(spec.contract_mask | spec.delete_mask)
+    down = relabel(f | g)
     sides = []
-    for sig, minor, avoid in (
-        (pair.circuit_sig, n, spec.delete_mask),
-        (pair.cocircuit_sig, n.dual(), spec.contract_mask),
-    ):
-        # restriction commutes with negation, so a member's negative is added with it and
-        # a signature's representatives cover all its members
-        members = vectors(sig) if mode == "vectors" else sig.representatives()
-        minor_circuits = frozenset(minor.circuit_masks)
+    for sig, minor, avoid in ((pair.circuit_sig, n, g), (pair.cocircuit_sig, n.dual(), f)):
+        members = [(x.pos, x.neg, x.support) for x in vectors(sig)] if mode == "vectors" else sig._pairs
+        circuits = frozenset(minor.circuit_masks) if mode == "circuits" else None
         out = set()
-        for x in members:
-            if x.support & avoid:
+        for p, _, s in members:
+            if s & avoid:
                 continue
-            support = down(x.support)
-            if mode == "circuits" and support not in minor_circuits:
+            support = down(s)
+            if circuits is not None and support not in circuits:
                 continue
-            pos = down(x.pos)
-            out.add(SignedSubset(n.ground, pos, support & ~pos))
-            out.add(SignedSubset(n.ground, support & ~pos, pos))
-        sides.append(frozenset(out))
-    return InducedSets(*sides, n)
+            pos = down(p)
+            if not pos & support & -support:
+                pos = support & ~pos
+            out.add((pos, support))
+        sides.append(out)
+    return n, sides
 
 
 # ---------------------------------------------------------------------------
@@ -826,20 +872,34 @@ def _live_planes(masks: list[int], planes: list[int], full: int) -> list[int]:
     return out
 
 
-def _fa_members(circ_pairs, cocirc_pairs, batch):
+def _fa_members(circ_pairs, cocirc_pairs, batch, matroids=(None, None)):
     """A painting batch's (FA) members per side, (pos, neg, support, live) for ``_paint_bad``.
 
     A circuit is live where its support minus the contracted set (color 2) is
     a circuit of the contraction; cocircuits read the deleted set (color 3).
-    ``_live_planes`` decides both from the batch's own planes of that color.
+    ``_live_planes`` decides both from the batch's own planes of that color,
+    at a cost quadratic in the members.  A batch with fewer paintings than a
+    side has members decides each painting's set from the contraction memo
+    of that side's matroid in ``matroids`` instead.
     """
-    planes, full, _ = batch
+    planes, full, colors_of = batch
+    count = full.bit_length()
 
-    def members(reps, color):
-        live = _live_planes([s for *_, s in reps], [col[color] for col in planes], full)
+    def members(reps, color, matroid):
+        supports = [s for *_, s in reps]
+        if matroid is None or count >= len(reps):
+            live = _live_planes(supports, [col[color] for col in planes], full)
+        else:
+            live = [0] * len(reps)
+            for j in range(count):
+                f = mask_of(e for e, c in enumerate(colors_of(j)) if c == color)
+                circuits = set(matroid._contraction(f))
+                for i, s in enumerate(supports):
+                    if (s & ~f) in circuits:
+                        live[i] |= 1 << j
         return [(*x, alive) for x, alive in zip(reps, live)]
 
-    return members(circ_pairs, 2), members(cocirc_pairs, 3)
+    return members(circ_pairs, 2, matroids[0]), members(cocirc_pairs, 3, matroids[1])
 
 
 def _fa_first(bad: int, planes: list[tuple[int, int, int, int]]) -> int:
@@ -870,6 +930,7 @@ def check_FA(
     """
     n = pair.ground.size
     circ_pairs, cocirc_pairs = pair.circuit_sig.pair_masks(), pair.cocircuit_sig.pair_masks()
+    matroids = pair.circuit_sig.matroid, pair.cocircuit_sig.matroid
 
     def sampled(rng: random.Random):
         def paint():
@@ -883,7 +944,7 @@ def check_FA(
         found = []
         for paintings in batches:
             planes, _, colors_of = paintings
-            bad, us, ut = _paint_bad(*_fa_members(circ_pairs, cocirc_pairs, paintings), planes)
+            bad, us, ut = _paint_bad(*_fa_members(circ_pairs, cocirc_pairs, paintings, matroids), planes)
             any_bad = functools.reduce(int.__or__, bad, 0)
             if any_bad:
                 j = _fa_first(any_bad, planes) if ordered else (any_bad & -any_bad).bit_length() - 1

@@ -25,6 +25,7 @@ from omlab.matroid import (
     CircuitViolation,
     Matroid,
     MinorSpec,
+    _canonical,
     _find_c3_violation,
     contraction_circuit_masks,
     validate_circuits,
@@ -36,6 +37,7 @@ from omlab.oriented import (
     _exhaustive_paintings,
     _fa_members,
     _live_planes,
+    _sampled_paintings,
     CEViolation,
     CircuitSignature,
     EliminationInstance,
@@ -1184,6 +1186,125 @@ def test_induced_sets_match_restriction_on_small_instances(mode, monkeypatch):
     for name, pair in small_instances():
         for spec in minor_specs(pair.ground.size):
             assert induced_sets(pair, spec, mode) == restrict_induced_sets(pair, spec, mode), (name, spec)
+
+
+# -- memoised, packed minors: each fast path against a fresh construction
+#
+# Minors reuse their matroid's memoised contractions, skip the canonical
+# re-sort, take their dual from the dual's memo and hold their signatures as
+# packed pairs behind a constructor that does not validate.  Each shortcut is
+# compared here with the construction it replaced, on the pool and on seeded
+# random (C3)-valid clutters, since the pool has only 42 distinct matroids.
+
+
+def random_matroids(count: int) -> list[Matroid]:
+    """The first ``count`` random clutters, seed by seed, that pass (C3)."""
+    out = []
+    for seed in itertools.count():
+        got = validate_circuits(*random_clutter(random.Random(seed)))
+        if isinstance(got, Matroid):
+            out.append(got)
+            if len(out) == count:
+                return out
+
+
+def pool_and_random_matroids(instance_pool, count: int) -> list[Matroid]:
+    pool = {inst.pair.matroid for inst in instance_pool if inst.pair.ground.size <= 6}
+    return [*pool, *random_matroids(count)]
+
+
+def random_signing(m: Matroid, rng: random.Random) -> CircuitSignature:
+    """Any symmetric signing, not one that satisfies an axiom; the representatives given
+    are not always positive on their least element."""
+    reps = []
+    for s in m.circuit_masks:
+        pos = mask_of(e for e in bits(s) if rng.random() < 0.5)
+        reps.append(SignedSubset(m.ground, pos, s & ~pos))
+    return CircuitSignature.from_representatives(m, reps)
+
+
+def test_contraction_memo_matches_contraction(instance_pool):
+    for m in pool_and_random_matroids(instance_pool, 200):
+        for side in (m, m.dual()):
+            for f in range(1 << side.ground.size):
+                got = side._contraction(f)
+                assert got == contraction_circuit_masks(side.circuit_masks, f), (side, f)
+                assert side._contraction(f) is got
+
+
+def test_minors_are_canonical_and_their_linked_duals_fresh(instance_pool):
+    for m in pool_and_random_matroids(instance_pool, 60):
+        m.dual()  # cached, so every minor's dual is linked
+        for spec in minor_specs(m.ground.size):
+            minor = m.minor(spec)
+            assert minor.circuit_masks == _canonical(minor.circuit_masks), (m, spec)
+            linked = minor._dual
+            assert linked is not None and minor.dual() is linked and linked.dual() is minor
+            fresh = Matroid._from_valid(minor.ground, minor.circuit_masks).dual()
+            assert (linked.ground, linked.circuit_masks) == (fresh.ground, fresh.circuit_masks), (m, spec)
+
+
+def assert_packed_signatures_match_eager(pair: SignaturePair, specs, label) -> int:
+    """On every spec whose induction is defined, the packed induced signatures equal eagerly
+    validated ones built from the restriction oracle's members; returns how many were compared."""
+    compared = 0
+    for spec in specs:
+        try:
+            got = induced_signature(pair, spec)
+        except ValidationError:
+            continue
+        circuits, cocircuits, minor = restrict_induced_sets(pair, spec)
+        eager = SignaturePair(minor, CircuitSignature(minor, circuits), CircuitSignature(minor.dual(), cocircuits))
+        for packed, want in ((got.circuit_sig, eager.circuit_sig), (got.cocircuit_sig, eager.cocircuit_sig)):
+            assert packed == want and hash(packed) == hash(want), (label, spec)
+            assert packed.signed == want.signed, (label, spec)
+            assert packed.representatives() == want.representatives(), (label, spec)
+            supports = packed.matroid.circuit_masks
+            assert [packed.by_support(s) for s in supports] == [want.by_support(s) for s in supports], (label, spec)
+            assert (packed.pair_masks(), packed.member_masks()) == (want.pair_masks(), want.member_masks())
+        assert emit_oriented(got) == emit_oriented(eager), (label, spec)
+        compared += 1
+    return compared
+
+
+def test_packed_signatures_match_eager_on_pool_minors(instance_pool):
+    compared = 0
+    for inst in instance_pool:
+        if inst.pair.ground.size <= 4:
+            compared += assert_packed_signatures_match_eager(inst.pair, minor_specs(inst.pair.ground.size), inst.name)
+    assert compared > 5000
+
+
+def test_packed_signatures_match_eager_on_random_signings():
+    # the whole pair, the empty minor, always induces, so every signing is
+    # compared at least once; the lift oracle covers the minors that raise
+    rng = random.Random(11)
+    compared = raised = 0
+    for k, m in enumerate(random_matroids(60) + [random_paving_matroid(rng.randint(5, 7), rng) for _ in range(20)]):
+        pair = SignaturePair(m, random_signing(m, rng), random_signing(m.dual(), rng))
+        specs = list(minor_specs(m.ground.size))
+        specs = [MinorSpec.of()] + rng.sample(specs, min(40, len(specs)))
+        compared += assert_packed_signatures_match_eager(pair, specs, k)
+        raised += assert_induced_signature_matches_lifts(pair, specs, k)
+    assert compared > 1000 and raised  # the paving matroids' signings reach the (O) message
+
+
+@pytest.mark.parametrize("sample", [1, 5, 30])
+def test_fa_members_per_draw_liveness_matches_planes(sample):
+    # a sampled batch with fewer draws than a side has members reads each draw's
+    # contraction from the matroid's memo; it must give the planes' liveness
+    rng = random.Random(sample)
+    alt9 = alternating_rank2(9)  # 84 circuits, 9 cocircuits
+    cases = [(alt9.circuit_sig.pair_masks(), alt9.cocircuit_sig.pair_masks(), alt9.matroid, alt9.matroid.dual())]
+    for m in [random_paving_matroid(8, rng) for _ in range(3)] + random_matroids(20):
+        cases.append(([(s, 0, s) for s in m.circuit_masks], [(s, 0, s) for s in m.dual().circuit_masks], m, m.dual()))
+    per_draw = 0
+    for circ, cocirc, m, dual in cases:
+        n = m.ground.size
+        for batch in _sampled_paintings(n, sample, lambda: [rng.randrange(4) for _ in range(n)]):
+            assert _fa_members(circ, cocirc, batch, (m, dual)) == _fa_members(circ, cocirc, batch), (m, sample)
+            per_draw += sample < max(len(circ), len(cocirc))
+    assert per_draw
 
 
 # -- uniqueness by exhaustive enumeration ------------------------------------------

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from conftest import fig4_digraph, triangle
 from omlab.cli import main
 from omlab.digraphs import graphic_om
-from omlab.formats import emit_digraph, emit_oriented, parse_oriented
+from omlab.formats import emit_digraph, emit_lines, emit_oriented, parse_oriented
+from omlab.lines import neat_prefix
 from omlab.oriented import alternating_rank2
 
 
@@ -148,6 +149,76 @@ def test_cli_survives_mutated_om_files(fuzz_file, base, flips, splices, command)
     assert "Traceback" not in out + err
     if code == 1:
         assert "verdict: fail" in out or err.startswith("derivation failed:")
+
+
+def mutated(base: bytes, flips: list[int], splices, flip) -> bytes:
+    """``base`` with ``flip`` applied at each drawn spot, then the byte splices."""
+    data = bytearray(base)
+    for k in flips:
+        data = flip(data, k)
+    for at, cut, inserted in splices:
+        at %= len(data) + 1
+        data[at : at + cut] = inserted
+    return bytes(data)
+
+
+def reverse_arc(data: bytearray, k: int) -> bytearray:
+    """Swap the tail and head of arc k of a digraph file: the digraph's sign flip."""
+    rows = bytes(data).split(b"\n")
+    arcs = [i for i, row in enumerate(rows[1:], 1) if len(row.split()) == 3]
+    if arcs:
+        i = arcs[k % len(arcs)]
+        tail, head, label = rows[i].split()
+        rows[i] = b" ".join((head, tail, label))
+    return bytearray(b"\n".join(rows))
+
+
+def negate_coordinate(data: bytearray, k: int) -> bytearray:
+    """Negate coordinate k of a line-set file."""
+    words = bytes(data).split(b" ")
+    target = k % len(words)
+    word = words[target]
+    words[target] = word[1:] if word.startswith(b"-") else b"-" + word
+    return bytearray(b" ".join(words))
+
+
+FUZZ_DIGRAPHS = [emit_digraph(d).encode() for d in (fig4_digraph(), triangle())]
+FUZZ_LINES = [emit_lines(neat_prefix(n)).encode() for n in (4, 6)]
+FUZZ_CHARS = st.lists(st.sampled_from(b"0123456789-/ .e\n\xff"), max_size=3).map(bytes) | st.binary(max_size=3)
+
+
+def run_fuzzed(fuzz_file, data: bytes, argv: list[str]) -> None:
+    fuzz_file.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out + err
+    if code == 2:
+        assert err and not out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(FUZZ_DIGRAPHS),
+    st.lists(st.integers(0, 50), max_size=3),
+    st.lists(st.tuples(st.integers(0, 100), st.integers(0, 3), FUZZ_CHARS), max_size=3),
+    st.sampled_from([["gen", "graphic", "{}"], ["farkas", "{}", "e1"], ["farkas", "{}", "e3"], ["farkas", "{}", "e9"]]),
+)
+def test_cli_survives_mutated_digraph_files(fuzz_file, base, flips, splices, command):
+    data = mutated(base, flips, splices, reverse_arc)
+    run_fuzzed(fuzz_file, data, [arg.format(fuzz_file) for arg in command])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(FUZZ_LINES),
+    st.lists(st.integers(0, 50), max_size=3),
+    st.lists(st.tuples(st.integers(0, 100), st.integers(0, 3), FUZZ_CHARS), max_size=3),
+)
+def test_cli_survives_mutated_line_files(fuzz_file, base, flips, splices):
+    run_fuzzed(fuzz_file, mutated(base, flips, splices, negate_coordinate), ["gen", "lines", str(fuzz_file)])
 
 
 def test_check_unknown_name_usage_error(alt5_file, capsys):
