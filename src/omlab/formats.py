@@ -147,7 +147,11 @@ def emit_lines(q: LineSet) -> str:
     return "\n".join(str(l) for l in q.lines) + "\n"
 
 
+_COORD_DIGITS = 1000  # a line-file coordinate written out in full has at most this many digits
+
+
 def parse_lines(text: str) -> LineSet:
+    """Three rational coordinates per nonblank line, each bounded before ``Fraction`` computes 10**exp."""
     out = []
     for i, ln in enumerate(text.splitlines()):
         if not ln.strip():
@@ -156,6 +160,11 @@ def parse_lines(text: str) -> LineSet:
         if len(parts) != 3:
             raise FormatError(f"expected three rational coordinates, got {ln!r}", i + 1)
         try:
+            for p in parts:
+                mantissa, _, exponent = p.lower().partition("e")
+                exponent = exponent.lstrip("+-").replace("_", "").lstrip("0")
+                if len(exponent) > 4 or sum(map(str.isdigit, mantissa)) + int(exponent or 0) > _COORD_DIGITS:
+                    raise FormatError(f"coordinate longer than {_COORD_DIGITS} digits written out", i + 1)
             vec = [Fraction(p) for p in parts]
         except (ValueError, ZeroDivisionError):
             raise FormatError(f"bad coordinate in {ln!r}", i + 1) from None

@@ -1,7 +1,7 @@
 """Finite matroids given by their circuit families.
 
-Circuits are the primary representation; bases, duals, and minors are derived
-and cached.  Validation of the circuit axioms is exhaustive and therefore
+Circuits are the primary representation; duals and minors are derived and
+cached.  Validation of the circuit axioms is exhaustive and therefore
 refuses ground sets above a configurable cap.
 """
 
@@ -60,8 +60,8 @@ def _canonical(masks: Iterable[int]) -> tuple[int, ...]:
 class Matroid:
     """A finite matroid on a :class:`GroundSet`, stored by its circuit masks.
 
-    Instances are immutable after construction; lazy caches (bases, dual,
-    ranks, contractions) are filled once and then only read.
+    Instances are immutable after construction; lazy caches (dual, ranks,
+    contractions) are filled once and then only read.
     """
 
     def __init__(self, ground: GroundSet, circuit_masks: Iterable[int], _validated: bool = False):
@@ -74,7 +74,6 @@ class Matroid:
         self.circuit_masks = masks
         self._rank_cache: dict[int, int] = {}
         self._dual: "Matroid | None" = None
-        self._bases: tuple[int, ...] | None = None
         self._contractions: dict[int, tuple[int, ...]] = {}
 
     @classmethod
@@ -146,20 +145,6 @@ class Matroid:
         self._rank_cache[m] = r
         return r
 
-    @property
-    def bases(self) -> tuple[int, ...]:
-        """All maximal circuit-free sets, as masks in canonical order."""
-        if self._bases is None:
-            r = self.rank()
-            elems = range(self.ground.size)
-            found = [
-                mask_of(combo)
-                for combo in itertools.combinations(elems, r)
-                if self.is_independent(mask_of(combo))
-            ]
-            self._bases = _canonical(found)
-        return self._bases
-
     # -- duality -------------------------------------------------------------
 
     def dual(self) -> "Matroid":
@@ -216,8 +201,7 @@ class Matroid:
         f = self.ground.check_mask(spec.contract_mask)
         g = self.ground.check_mask(spec.delete_mask)
         kept = tuple(i for i in range(self.ground.size) if not ((f | g) >> i) & 1)
-        new_ground = GroundSet(tuple(self.ground.labels[i] for i in kept))
-        down = relabel(f | g)
+        new_ground, down = _minor_ground(self.ground, f | g)
 
         def minor(m: Matroid, contract: int, delete: int) -> Matroid:
             masks = tuple(down(c) for c in m._contraction(contract) if not c & delete)
@@ -267,6 +251,11 @@ class Matroid:
             if c & eb and c & ~allowed == 0:
                 return indices(c)
         raise InvariantError("basis plus one element contains no circuit")
+
+
+def _minor_ground(ground: GroundSet, dropped: int) -> tuple[GroundSet, Callable[[int], int]]:
+    """A minor's ground set and :func:`relabel` map, built once per minor."""
+    return ground._without(dropped), relabel(dropped)
 
 
 def relabel(dropped: int) -> Callable[[int], int]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .errors import CapExceededError, DomainError, GroundMismatchError, InvariantError, ValidationError
-from .matroid import Matroid, MinorSpec, _cover, _elimination_scan, _first_bad_family, relabel
+from .matroid import Matroid, MinorSpec, _cover, _elimination_scan, _first_bad_family, _minor_ground, relabel
 from .signed_sets import GroundSet, SignedSubset, bits, indices, mask_of
 
 FOUR_P_CAP_DEFAULT = 10
@@ -37,7 +37,8 @@ class CircuitSignature:
     Exactly one opposite pair {C, -C} per circuit; a cocircuit signature of M
     is a CircuitSignature over M.dual().  The pairs are held packed, as
     (pos, neg, support) of the representative positive on its least element,
-    in canonical circuit order; signed members are built only when asked for.
+    in canonical circuit order; signed members are built only when asked for,
+    and restrictions to contractions are memoised per contracted set.
     """
 
     def __init__(self, matroid: Matroid, signed: Iterable[SignedSubset]):
@@ -78,6 +79,24 @@ class CircuitSignature:
         self._signed: frozenset[SignedSubset] | None = None
         self._reps: tuple[SignedSubset, ...] | None = None
         self._rep_by_support: dict[int, SignedSubset] | None = None
+        self._restriction_memo: dict[int, tuple[int, ...]] = {}
+
+    def _restricted(self, f: int) -> tuple[int, ...]:
+        """Memoised per f: (c, pos, c, pos, ...) for each circuit c of the contraction by f, in
+        canonical order, and each distinct signing of c that a pair with support s \\ f = c
+        restricts to, positive on c's least element."""
+        got = self._restriction_memo.get(f)
+        if got is None:
+            signings: dict[int, list[int]] = {c: [] for c in self.matroid._contraction(f)}
+            for p, _, s in self._pairs:
+                c = s & ~f
+                seen = signings.get(c)
+                if seen is not None:
+                    pos = p & c if p & c & -c else c & ~p
+                    if pos not in seen:
+                        seen.append(pos)
+            got = self._restriction_memo[f] = tuple(x for c, seen in signings.items() for p in seen for x in (c, p))
+        return got
 
     @classmethod
     def from_representatives(cls, matroid: Matroid, reps: Iterable[SignedSubset]) -> "CircuitSignature":
@@ -437,7 +456,7 @@ def induced_signature(pair: SignaturePair, spec: MinorSpec) -> SignaturePair:
     to non-opposite signings, the induction is ill-defined and an upstream
     (O) violation is reported.
     """
-    n, sides = _restrictions(pair, spec, "circuits")
+    n, sides = _induced(pair, spec)
     sigs = []
     for matroid, side in zip((n, n.dual()), sides):
         # every minor (co)circuit has a lift, so a second pair on a support shows as one too many
@@ -445,9 +464,7 @@ def induced_signature(pair: SignaturePair, spec: MinorSpec) -> SignaturePair:
             raise ValidationError(
                 "induced signing depends on the choice of lift; the signature pair violates (O)"
             )
-        pos = {s: p for p, s in side}
-        pairs = tuple((pos[s], s & ~pos[s], s) for s in matroid.circuit_masks)
-        sigs.append(CircuitSignature._trusted(matroid, pairs))
+        sigs.append(CircuitSignature._trusted(matroid, tuple(side)))
     return SignaturePair(n, *sigs)
 
 
@@ -469,7 +486,17 @@ def induced_sets(pair: SignaturePair, spec: MinorSpec, mode: str = "circuits") -
     """
     if mode not in ("circuits", "tilde", "vectors"):
         raise DomainError(f"unknown induced-sets mode {mode!r}: expected 'circuits', 'tilde' or 'vectors'")
-    n, sides = _restrictions(pair, spec, mode)
+    if mode == "circuits":
+        n, induced = _induced(pair, spec)
+        sides = [{(p, s) for p, _, s in side} for side in induced]
+    else:
+        f, g = spec.contract_mask, spec.delete_mask
+        n, _ = pair.matroid.minor_with_map(spec)
+        down = relabel(f | g)
+        sides = []
+        for sig, avoid in ((pair.circuit_sig, g), (pair.cocircuit_sig, f)):
+            members = [(x.pos, x.neg, x.support) for x in vectors(sig)] if mode == "vectors" else sig._pairs
+            sides.append({(down(p), down(s)) for p, _, s in members if not s & avoid})
 
     def members(side: set[tuple[int, int]]) -> frozenset[SignedSubset]:
         signed = (SignedSubset(n.ground, p, s & ~p) for p, s in side)
@@ -478,31 +505,37 @@ def induced_sets(pair: SignaturePair, spec: MinorSpec, mode: str = "circuits") -
     return InducedSets(*map(members, sides), n)
 
 
-def _restrictions(pair: SignaturePair, spec: MinorSpec, mode: str) -> tuple[Matroid, list[set[tuple[int, int]]]]:
-    """The minor, and per side the (pos, support) of its induced pairs, positive on the least element.
+def _induced(pair: SignaturePair, spec: MinorSpec) -> tuple[Matroid, list[list[tuple[int, int, int]]]]:
+    """The minor M/f\\g linked to its dual, and per side the packed (pos, neg, support) of each
+    distinct induced signing, positive on its least element, in canonical support order.
 
     Restriction commutes with negation, so one member of each opposite pair
-    stands for both.
+    stands for both.  A side reads the restriction memo of what it contracts,
+    f for circuits and g for cocircuits, and drops the (co)circuits meeting
+    what it deletes.  This is exact: a lift s of a minor circuit c, a signed
+    circuit with s \\ f = c, lies inside c | f, and f and g are disjoint, so
+    when c avoids g, s does too.  The surviving c, relabelled, are the
+    minor's circuits in canonical order; the cocircuit side gives its dual,
+    (M/f\\g)* = M*/g\\f.
     """
-    f, g = spec.contract_mask, spec.delete_mask
-    n, _ = pair.matroid.minor_with_map(spec)
-    down = relabel(f | g)
-    sides = []
-    for sig, minor, avoid in ((pair.circuit_sig, n, g), (pair.cocircuit_sig, n.dual(), f)):
-        members = [(x.pos, x.neg, x.support) for x in vectors(sig)] if mode == "vectors" else sig._pairs
-        circuits = frozenset(minor.circuit_masks) if mode == "circuits" else None
-        out = set()
-        for p, _, s in members:
-            if s & avoid:
-                continue
-            support = down(s)
-            if circuits is not None and support not in circuits:
-                continue
-            pos = down(p)
-            if not pos & support & -support:
-                pos = support & ~pos
-            out.add((pos, support))
-        sides.append(out)
+    m = pair.matroid
+    f = m.ground.check_mask(spec.contract_mask)
+    g = m.ground.check_mask(spec.delete_mask)
+    ground, down = _minor_ground(m.ground, f | g)
+    minors, sides = [], []
+    for sig, contract, delete in ((pair.circuit_sig, f, g), (pair.cocircuit_sig, g, f)):
+        masks, side = [], []
+        memo = iter(sig._restricted(contract))
+        for c, p in zip(memo, memo):
+            if not c & delete:
+                s, p = down(c), down(p)
+                if not masks or masks[-1] != s:
+                    masks.append(s)
+                side.append((p, s & ~p, s))
+        minors.append(Matroid._from_canonical(ground, tuple(masks)))
+        sides.append(side)
+    n, dual = minors
+    n._dual, dual._dual = dual, n
     return n, sides
 
 
@@ -846,7 +879,11 @@ def check_CE(
 
 
 class _Inside(dict):
-    """Memo of the positions whose set contains all of mask x; starts as {0: full}, needs ``planes``."""
+    """Memo of the positions whose set contains all of mask x, from per-element ``planes``."""
+
+    def __init__(self, planes: list[int], full: int):
+        super().__init__({0: full})
+        self.planes = planes
 
     def __missing__(self, x: int) -> int:
         low = x & -x
@@ -854,15 +891,15 @@ class _Inside(dict):
         return got
 
 
-def _live_planes(masks: list[int], planes: list[int], full: int) -> list[int]:
+def _live_planes(masks: list[int], planes: list[int], full: int, inside: _Inside | None = None) -> list[int]:
     """Per member s of ``masks``, the positions where s \\ f is a circuit of the contraction by f.
 
-    ``planes[e]`` holds the positions whose set f contains e.  s \\ f is a
-    minimal nonempty set D \\ f exactly when s is not inside f and no member D
-    has D \\ s inside f, D not inside f and s \\ D not inside f.
+    ``planes[e]`` holds the positions whose set f contains e (``inside``, if
+    given, is their memo).  s \\ f is a minimal nonempty set D \\ f exactly
+    when s is not inside f and no member D has D \\ s inside f, D not inside f
+    and s \\ D not inside f.
     """
-    inside = _Inside({0: full})
-    inside.planes = planes
+    inside = inside or _Inside(planes, full)
     out = []
     for s in masks:
         dead = inside[s]
@@ -872,23 +909,32 @@ def _live_planes(masks: list[int], planes: list[int], full: int) -> list[int]:
     return out
 
 
-def _fa_members(circ_pairs, cocirc_pairs, batch, matroids=(None, None)):
+@functools.cache
+def _single_block(n: int):
+    """The exhaustive (FA) batch of an n <= 8 element ground set: its one block, and the
+    :class:`_Inside` memos of the block's contract and delete planes.  A constant of n."""
+    (block,) = _exhaustive_paintings(n)
+    return (block,), True, tuple(_Inside([col[color] for col in block[0]], block[1]) for color in (2, 3))
+
+
+def _fa_members(circ_pairs, cocirc_pairs, batch, matroids=(None, None), insides=(None, None)):
     """A painting batch's (FA) members per side, (pos, neg, support, live) for ``_paint_bad``.
 
     A circuit is live where its support minus the contracted set (color 2) is
     a circuit of the contraction; cocircuits read the deleted set (color 3).
-    ``_live_planes`` decides both from the batch's own planes of that color,
-    at a cost quadratic in the members.  A batch with fewer paintings than a
-    side has members decides each painting's set from the contraction memo
-    of that side's matroid in ``matroids`` instead.
+    ``_live_planes`` decides both from the batch's own planes of that color
+    (or their memo in ``insides``), at a cost quadratic in the members.  A
+    batch with fewer paintings than a side has members decides each
+    painting's set from the contraction memo of that side's matroid in
+    ``matroids`` instead.
     """
     planes, full, colors_of = batch
     count = full.bit_length()
 
-    def members(reps, color, matroid):
+    def members(reps, color, matroid, inside):
         supports = [s for *_, s in reps]
         if matroid is None or count >= len(reps):
-            live = _live_planes(supports, [col[color] for col in planes], full)
+            live = _live_planes(supports, [col[color] for col in planes], full, inside)
         else:
             live = [0] * len(reps)
             for j in range(count):
@@ -899,7 +945,7 @@ def _fa_members(circ_pairs, cocirc_pairs, batch, matroids=(None, None)):
                         live[i] |= 1 << j
         return [(*x, alive) for x, alive in zip(reps, live)]
 
-    return members(circ_pairs, 2, matroids[0]), members(cocirc_pairs, 3, matroids[1])
+    return members(circ_pairs, 2, matroids[0], insides[0]), members(cocirc_pairs, 3, matroids[1], insides[1])
 
 
 def _fa_first(bad: int, planes: list[tuple[int, int, int, int]]) -> int:
@@ -937,14 +983,14 @@ def check_FA(
             states = [rng.randrange(3) for _ in range(n)]
             return [s + 1 if s else rng.randrange(2) for s in states]  # keep: 0, or 1 when reversed
 
-        return (([batch], False) for batch in _sampled_paintings(n, sample, paint))
+        return (([batch], False, (None, None)) for batch in _sampled_paintings(n, sample, paint))
 
     def first_bad(batch) -> FAViolation | None:
-        batches, ordered = batch
+        batches, ordered, insides = batch
         found = []
         for paintings in batches:
             planes, _, colors_of = paintings
-            bad, us, ut = _paint_bad(*_fa_members(circ_pairs, cocirc_pairs, paintings, matroids), planes)
+            bad, us, ut = _paint_bad(*_fa_members(circ_pairs, cocirc_pairs, paintings, matroids, insides), planes)
             any_bad = functools.reduce(int.__or__, bad, 0)
             if any_bad:
                 j = _fa_first(any_bad, planes) if ordered else (any_bad & -any_bad).bit_length() - 1
@@ -958,7 +1004,8 @@ def check_FA(
 
     return _exhaust_or_sample(
         "FA", "minor/reorientation pairs", n, cap, sample, seed,
-        lambda: [(_exhaustive_paintings(n), True)],  # one batch: the (FA)-order first witness may lie in any block
+        # one batch: the (FA)-order first witness may lie in any block
+        lambda: [_single_block(n) if n <= _BLOCK_ELEMENTS else (_exhaustive_paintings(n), True, (None, None))],
         sampled, first_bad,
     )
 

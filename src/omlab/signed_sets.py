@@ -13,6 +13,7 @@ every finite-support composition of an infinite family is left undecided.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, GroundMismatchError, UnknownElementError
@@ -51,7 +52,16 @@ class GroundSet:
     def __post_init__(self):
         if len(set(self.labels)) != len(self.labels):
             raise DomainError(f"ground-set labels not distinct: {self.labels}")
-        object.__setattr__(self, "_index", {x: i for i, x in enumerate(self.labels)})
+
+    def _without(self, dropped: int) -> "GroundSet":
+        """The ground set minus the elements of mask ``dropped``; its labels need no distinctness check."""
+        ground = object.__new__(GroundSet)
+        object.__setattr__(ground, "labels", tuple(x for i, x in enumerate(self.labels) if not dropped >> i & 1))
+        return ground
+
+    @cached_property
+    def _index(self) -> dict[str, int]:  # built on the first index() call
+        return {x: i for i, x in enumerate(self.labels)}
 
     @classmethod
     def of(cls, labels: Iterable[str]) -> "GroundSet":

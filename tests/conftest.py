@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
 import pytest
 
 from omlab import Digraph, LineSet, SignaturePair, alternating_rank2, graphic_om, u3_signature
+from omlab.errors import ValidationError
 from omlab.lines import free_witness
-from omlab.oriented import CircuitSignature
+from omlab.matroid import MinorSpec
+from omlab.oriented import CircuitSignature, induced_signature
 from omlab.signed_sets import SignedSubset, bits
 
 
@@ -111,3 +114,35 @@ def build_pool(seed: int = 20250810) -> list[Instance]:
 @pytest.fixture(scope="session")
 def instance_pool() -> list[Instance]:
     return build_pool()
+
+
+def minor_specs(n: int):
+    """All 3^n minors of an n-element ground set: keep, contract or delete each element."""
+    for states in itertools.product(range(3), repeat=n):
+        yield MinorSpec.of(
+            contract=[i for i, s in enumerate(states) if s == 1],
+            delete=[i for i, s in enumerate(states) if s == 2],
+        )
+
+
+@dataclass
+class PoolMinor:
+    inst: Instance
+    spec: MinorSpec
+    induced: object  # the induced SignaturePair, or the ValidationError induced_signature raised
+
+
+@pytest.fixture(scope="session")
+def pool_minors(instance_pool) -> list[PoolMinor]:
+    """Every minor of every pool instance on at most 6 elements, in pool then product order,
+    with its induced signature pair: built once for all the tests that sweep the pool's minors."""
+    out = []
+    for inst in instance_pool:
+        if inst.pair.ground.size <= 6:
+            for spec in minor_specs(inst.pair.ground.size):
+                try:
+                    induced = induced_signature(inst.pair, spec)
+                except ValidationError as err:
+                    induced = err
+                out.append(PoolMinor(inst, spec, induced))
+    return out

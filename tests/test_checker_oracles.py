@@ -15,9 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import corrupt_pair, fig4_digraph, triangle
+from conftest import corrupt_pair, fig4_digraph, minor_specs, triangle
 from omlab.digraphs import Digraph, graphic_om
-from omlab.errors import CapExceededError, DomainError, InvariantError, ValidationError
+from omlab.errors import CapExceededError, DomainError, InvariantError, UnknownElementError, ValidationError
 from omlab import matroid, oriented, u3_signature
 from omlab.formats import emit_oriented
 from omlab.lines import neat_prefix
@@ -28,6 +28,7 @@ from omlab.matroid import (
     _canonical,
     _find_c3_violation,
     contraction_circuit_masks,
+    relabel,
     validate_circuits,
 )
 from omlab.oriented import (
@@ -533,20 +534,11 @@ def subset_scan_cocircuits(m: Matroid) -> tuple[int, ...]:
     return Matroid._from_valid(m.ground, cocircuits).circuit_masks
 
 
-def test_dual_matches_subset_scan_on_pool_minors(instance_pool):
-    matroids = {inst.pair.matroid for inst in instance_pool}
-    minors = set()
-    for m in matroids:
-        n = m.ground.size
-        if n > 6:
-            minors.add(m)
-            continue
-        for states in itertools.product(range(3), repeat=n):
-            spec = MinorSpec.of(
-                contract=[i for i, s in enumerate(states) if s == 1],
-                delete=[i for i, s in enumerate(states) if s == 2],
-            )
-            minors.add(m.minor(spec))
+def test_dual_matches_subset_scan_on_pool_minors(instance_pool, pool_minors):
+    minors = {inst.pair.matroid for inst in instance_pool if inst.pair.ground.size > 6}
+    for entry in pool_minors:
+        induced = entry.induced
+        minors.add(entry.inst.pair.matroid.minor(entry.spec) if isinstance(induced, Exception) else induced.matroid)
     for m in minors:
         assert m.dual().circuit_masks == subset_scan_cocircuits(m), m
 
@@ -1118,15 +1110,6 @@ def restrict_induced_sets(pair: SignaturePair, spec: MinorSpec, mode: str = "cir
     return InducedSets(side(src_s, g_mask, circ_n), side(src_t, f_mask, cocirc_n), n)
 
 
-def minor_specs(n: int):
-    """All 3^n minors of an n-element ground set: keep, contract or delete each element."""
-    for states in itertools.product(range(3), repeat=n):
-        yield MinorSpec.of(
-            contract=[i for i, s in enumerate(states) if s == 1],
-            delete=[i for i, s in enumerate(states) if s == 2],
-        )
-
-
 def induced_outcome(induce, pair: SignaturePair, spec: MinorSpec):
     """The induced pair with its output bytes and minor dual, or the error raised."""
     try:
@@ -1146,12 +1129,25 @@ def assert_induced_signature_matches_lifts(pair: SignaturePair, specs, label) ->
     return raised
 
 
-def test_induced_signature_matches_lifts_on_pool_minors(instance_pool):
+def stored(entry):
+    """A ``pool_minors`` entry as an ``induce`` function: its induced pair, or its error raised."""
+
+    def induce(pair: SignaturePair, spec: MinorSpec) -> SignaturePair:
+        assert pair is entry.inst.pair and spec is entry.spec
+        if isinstance(entry.induced, Exception):
+            raise entry.induced.with_traceback(None)
+        return entry.induced
+
+    return induce
+
+
+def test_induced_signature_matches_lifts_on_pool_minors(pool_minors):
     raised = {False: 0, True: 0}
-    for inst in instance_pool:
-        n = inst.pair.ground.size
-        if n <= 6:
-            raised[inst.corrupted] += assert_induced_signature_matches_lifts(inst.pair, minor_specs(n), inst.name)
+    for entry in pool_minors:
+        pair, spec = entry.inst.pair, entry.spec
+        want = induced_outcome(lift_induced_signature, pair, spec)
+        assert induced_outcome(stored(entry), pair, spec) == want, (entry.inst.name, spec)
+        raised[entry.inst.corrupted] += isinstance(want[0], type)
     assert raised == {False: 0, True: 3}  # the (O) message on three mutant minors
 
 
@@ -1232,25 +1228,37 @@ def test_contraction_memo_matches_contraction(instance_pool):
                 assert side._contraction(f) is got
 
 
-def test_minors_are_canonical_and_their_linked_duals_fresh(instance_pool):
-    for m in pool_and_random_matroids(instance_pool, 60):
+def assert_canonical_with_fresh_linked_dual(minors: list[Matroid], label) -> None:
+    """Equal minors, each in canonical order and linked to a dual equal to a freshly computed one."""
+    fresh = Matroid._from_valid(minors[0].ground, minors[0].circuit_masks).dual()
+    for minor in minors:
+        assert minor == minors[0] and minor.circuit_masks == _canonical(minor.circuit_masks), label
+        linked = minor._dual
+        assert linked is not None and minor.dual() is linked and linked.dual() is minor
+        assert (linked.ground, linked.circuit_masks) == (fresh.ground, fresh.circuit_masks), label
+
+
+def test_minors_are_canonical_and_their_linked_duals_fresh(pool_minors):
+    # each distinct pool matroid's minors, built by minor() and by induced_signature
+    first = {}
+    for entry in pool_minors:
+        m = entry.inst.pair.matroid
+        if first.setdefault(m, entry.inst) is entry.inst:
+            induced = [] if isinstance(entry.induced, Exception) else [entry.induced.matroid]
+            assert_canonical_with_fresh_linked_dual([m.minor(entry.spec), *induced], (m, entry.spec))
+    for m in random_matroids(60):
         m.dual()  # cached, so every minor's dual is linked
         for spec in minor_specs(m.ground.size):
-            minor = m.minor(spec)
-            assert minor.circuit_masks == _canonical(minor.circuit_masks), (m, spec)
-            linked = minor._dual
-            assert linked is not None and minor.dual() is linked and linked.dual() is minor
-            fresh = Matroid._from_valid(minor.ground, minor.circuit_masks).dual()
-            assert (linked.ground, linked.circuit_masks) == (fresh.ground, fresh.circuit_masks), (m, spec)
+            assert_canonical_with_fresh_linked_dual([m.minor(spec)], (m, spec))
 
 
-def assert_packed_signatures_match_eager(pair: SignaturePair, specs, label) -> int:
+def assert_packed_signatures_match_eager(pair: SignaturePair, specs, label, induce=induced_signature) -> int:
     """On every spec whose induction is defined, the packed induced signatures equal eagerly
     validated ones built from the restriction oracle's members; returns how many were compared."""
     compared = 0
     for spec in specs:
         try:
-            got = induced_signature(pair, spec)
+            got = induce(pair, spec)
         except ValidationError:
             continue
         circuits, cocircuits, minor = restrict_induced_sets(pair, spec)
@@ -1267,11 +1275,11 @@ def assert_packed_signatures_match_eager(pair: SignaturePair, specs, label) -> i
     return compared
 
 
-def test_packed_signatures_match_eager_on_pool_minors(instance_pool):
+def test_packed_signatures_match_eager_on_pool_minors(pool_minors):
     compared = 0
-    for inst in instance_pool:
-        if inst.pair.ground.size <= 4:
-            compared += assert_packed_signatures_match_eager(inst.pair, minor_specs(inst.pair.ground.size), inst.name)
+    for entry in pool_minors:
+        if entry.inst.pair.ground.size <= 4:
+            compared += assert_packed_signatures_match_eager(entry.inst.pair, [entry.spec], entry.inst.name, stored(entry))
     assert compared > 5000
 
 
@@ -1305,6 +1313,147 @@ def test_fa_members_per_draw_liveness_matches_planes(sample):
             assert _fa_members(circ, cocirc, batch, (m, dual)) == _fa_members(circ, cocirc, batch), (m, sample)
             per_draw += sample < max(len(circ), len(cocirc))
     assert per_draw
+
+
+# -- restriction memo: the per-minor loop it replaced
+#
+# Each signature memoises, per contracted set f, the signings its pairs restrict
+# to on the circuits of M/f, and a minor keeps those circuits that avoid the
+# deleted set.  Before, every minor walked all pairs, kept those avoiding the
+# deleted set whose restricted support is a circuit of the minor, and relabelled
+# them; that loop is the oracle here for induced_signature and
+# induced_sets(mode="circuits"), next to the lift search above.
+
+
+def loop_restrictions(pair: SignaturePair, spec: MinorSpec) -> tuple[Matroid, list[set[tuple[int, int]]]]:
+    """The minor, and per side the (pos, support) of its induced pairs, positive on the least element."""
+    f, g = spec.contract_mask, spec.delete_mask
+    n, _ = pair.matroid.minor_with_map(spec)
+    down = relabel(f | g)
+    sides = []
+    for sig, minor, avoid in ((pair.circuit_sig, n, g), (pair.cocircuit_sig, n.dual(), f)):
+        circuits = frozenset(minor.circuit_masks)
+        out = set()
+        for p, _, s in sig.pair_masks():
+            if not s & avoid and down(s) in circuits:
+                support, pos = down(s), down(p)
+                out.add((pos if pos & support & -support else support & ~pos, support))
+        sides.append(out)
+    return n, sides
+
+
+def loop_induced_signature(n: Matroid, sides) -> SignaturePair:
+    """The induced signature pair from ``loop_restrictions``, or the (O) error."""
+    sigs = []
+    for matroid, side in zip((n, n.dual()), sides):
+        if len(side) > len(matroid.circuit_masks):
+            raise ValidationError("induced signing depends on the choice of lift; the signature pair violates (O)")
+        pos = {s: p for p, s in side}
+        sigs.append(CircuitSignature._trusted(matroid, tuple((pos[s], s & ~pos[s], s) for s in matroid.circuit_masks)))
+    return SignaturePair(n, *sigs)
+
+
+def assert_memo_matches_loop(pair: SignaturePair, specs, label, induce=induced_signature, lifts=False) -> int:
+    """The memo-built induced signature (from ``induce``) and induced sets against the loop, and
+    against the lift search when ``lifts``; returns how many specs raised.  Where the signature
+    raises, the induced sets must still hold both pairs of the support in conflict."""
+
+    def outcome(induce, pair, spec):  # induced_outcome without the output bytes, which equal pairs share
+        try:
+            got = induce(pair, spec)
+        except Exception as err:  # compared by class and message
+            return type(err), str(err)
+        return got, got.matroid.dual().circuit_masks
+
+    raised = 0
+    for spec in specs:
+        n, sides = loop_restrictions(pair, spec)
+        want = outcome(lambda *_: loop_induced_signature(n, sides), pair, spec)
+        assert outcome(induce, pair, spec) == want, (label, spec)
+        if lifts:
+            assert induced_outcome(lift_induced_signature, pair, spec) == induced_outcome(induce, pair, spec)
+        got = induced_sets(pair, spec)
+        assert got.minor == n and got.minor.dual().circuit_masks == n.dual().circuit_masks, (label, spec)
+        for members, side in zip(got[:2], sides):
+            assert all(x.ground == n.ground for x in members), (label, spec)
+            want_members = {y for p, s in side for y in ((p, s & ~p), (s & ~p, p))}
+            assert {(x.pos, x.neg) for x in members} == want_members, (label, spec)
+        conflict = any(len(side) > len(m.circuit_masks) for side, m in zip(sides, (n, n.dual())))
+        assert conflict == isinstance(want[0], type), (label, spec)
+        raised += conflict
+    return raised
+
+
+def test_memo_induction_matches_loop_on_pool_minors(pool_minors):
+    raised = {False: 0, True: 0}
+    for entry in pool_minors:
+        pair, spec = entry.inst.pair, entry.spec
+        raised[entry.inst.corrupted] += assert_memo_matches_loop(pair, [spec], entry.inst.name, stored(entry))
+    assert raised == {False: 0, True: 3}
+
+
+def test_memo_induction_matches_loop_and_lifts_on_random_clutters():
+    # (C3)-valid random clutters reach matroids the pool's 42 do not; their
+    # derived orientations are compared where derivation succeeds, and random
+    # signings on both sides reach the (O) message on many minors
+    rng = random.Random(5)
+    pairs = raised = 0
+    for k, m in enumerate(random_matroids(60) + [random_paving_matroid(rng.randint(5, 7), rng) for _ in range(20)]):
+        specs = list(minor_specs(m.ground.size))
+        specs = rng.sample(specs, min(60, len(specs)))
+        signings = [SignaturePair(m, random_signing(m, rng), random_signing(m.dual(), rng))]
+        derived = derive_cocircuit_signature(m, signings[0].circuit_sig)
+        if isinstance(derived, CircuitSignature):
+            signings.append(SignaturePair(m, signings[0].circuit_sig, derived))
+        for pair in signings:
+            raised += assert_memo_matches_loop(pair, specs, k, lifts=True)
+            pairs += 1
+    assert pairs > 80 and raised >= 10
+
+
+@pytest.mark.parametrize(
+    "arcs, sample",
+    [
+        ([("1", "2"), ("1", "2"), ("2", "1"), ("2", "3"), ("3", "1"), ("3", "4")], None),
+        ([("1", "2"), ("1", "2"), ("2", "3"), ("3", "1"), ("3", "4"), ("4", "5"), ("5", "4"), ("5", "6")], 400),
+    ],
+)
+def test_memo_induction_matches_loop_with_loop_bridge_and_parallel_arcs(arcs, sample):
+    # the lift search is compared on the same minors by
+    # test_induced_signature_matches_lifts_with_loop_bridge_and_parallel_arcs
+    vertices = sorted({v for arc in arcs for v in arc})
+    pair = with_loop(graphic_om(Digraph.of(vertices, arcs)))
+    specs = list(minor_specs(pair.ground.size))
+    if sample is not None:
+        specs = random.Random(sample).sample(specs, sample)
+    assert assert_memo_matches_loop(pair, specs, "pristine") == 0
+    raised = 0
+    for seed in range(6):
+        raised += assert_memo_matches_loop(corrupt_pair(pair, random.Random(seed)), specs, seed)
+    assert raised
+
+
+def test_minor_ground_set_matches_a_validated_one():
+    # a minor's ground set skips the distinctness check and builds its label
+    # index on the first index() call; it must behave as GroundSet(labels) does
+    pair = graphic_om(fig4_digraph())
+    labels = pair.ground.labels
+    for spec in minor_specs(pair.ground.size):
+        for minor in (pair.matroid.minor(spec), induced_signature(pair, spec).matroid):
+            ground = minor.ground
+            fresh = GroundSet(ground.labels)
+            assert ground == fresh and hash(ground) == hash(fresh) and fresh == ground
+            assert ground.labels == tuple(x for i, x in enumerate(labels) if i not in spec.contract | spec.delete)
+            assert "_index" not in vars(ground)
+            assert [ground.index(x) for x in ground.labels] == list(range(ground.size))
+            assert ground.mask_of_labels(ground.labels) == ground.full_mask
+            for x in (*(labels[i] for i in spec.contract | spec.delete), "nope"):
+                with pytest.raises(UnknownElementError):
+                    ground.index(x)
+                with pytest.raises(UnknownElementError):
+                    ground.mask_of_labels([x])
+    with pytest.raises(DomainError):
+        GroundSet(("a", "b", "a"))
 
 
 # -- uniqueness by exhaustive enumeration ------------------------------------------

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -365,6 +366,17 @@ def test_gen_lines_rejects_non_free(tmp_path, capsys):
     code, _, err = run(capsys, "gen", "lines", str(path))
     assert code == 2
     assert "free" in err
+
+
+def test_gen_lines_refuses_a_huge_exponent(tmp_path, capsys):
+    # Fraction would compute 10**999999999; parsing stops at the format limit instead
+    path = tmp_path / "huge.lines"
+    path.write_text("1 0 0\n0 1 0\n1e999999999 1 1\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "gen", "lines", str(path))
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and not out
+    assert err == "parse error: line 3: coordinate longer than 1000 digits written out\n"
 
 
 def test_derive_recovers_cocircuits(alt5_file, tmp_path, capsys):

@@ -1,6 +1,9 @@
+import random
+import time
+
 import pytest
 
-from conftest import fig4_digraph, triangle
+from conftest import fig4_digraph, random_free_lineset, triangle
 from omlab.digraphs import graphic_om, minty_certificate
 from omlab.errors import FormatError
 from omlab.formats import (
@@ -118,6 +121,28 @@ def test_lines_parse_errors():
         parse_lines("a b c\n")
     with pytest.raises(FormatError):
         parse_lines("0 0 0\n")
+
+
+def test_lines_refuse_coordinates_beyond_the_format_limit():
+    # each would have Fraction compute 10**exp or parse a huge integer; the
+    # bound refuses them from the text alone, so no case may take long
+    rest = "\n0 1 0\n1 1 1\n"
+    for coord in ("1e999999999", "-1E+999999999", "1e-999999999", "2.5e1_000", "1e0000000000001000", "7" * 1001, "1e1000"):
+        start = time.perf_counter()
+        with pytest.raises(FormatError, match="longer than 1000 digits"):
+            parse_lines(f"0 0 1\n{coord} 1 0{rest}")
+        assert time.perf_counter() - start < 0.1, coord
+    # at the limit: 1000 digits written out
+    for coord in ("7" * 1000, "1e999", "1e-999", "1" * 500 + "e500", "1E+0000000000000999"):
+        assert len(parse_lines(f"0 0 1\n{coord} 1 0{rest}")) == 4, coord
+
+
+def test_every_line_fixture_still_parses():
+    # neat-prefix line sets as the benchmark and the CLI tests write them, and the pool's random free ones
+    fixtures = [neat_prefix(n, seed) for n in range(4, 14) for seed in range(6)]
+    fixtures += [random_free_lineset(random.Random(seed), n) for seed in range(40) for n in (4, 5, 6, 7)]
+    for q in fixtures:
+        assert parse_lines(emit_lines(q)) == q
 
 
 def test_certificate_format():
