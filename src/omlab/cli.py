@@ -118,7 +118,7 @@ class CheckReport:
 
 def _run_checks(pair: SignaturePair, which: list[str], caps: Caps, sample: int | None, seed: int) -> CheckReport:
     entries = []
-    for name in sorted(which, key=CHECK_NAMES.index):
+    for name in sorted(set(which), key=CHECK_NAMES.index):
         start = time.perf_counter()
         if name == "O":
             verdict = check_orthogonality(pair)

@@ -42,16 +42,9 @@ class Digraph:
                 raise DomainError(f"arc {lbl} is a loop; loops are rejected")
 
     @classmethod
-    def of(
-        cls,
-        vertices: Iterable[str],
-        arcs: Iterable[tuple[str, str]],
-        labels: Iterable[str] | None = None,
-    ) -> "Digraph":
+    def of(cls, vertices: Iterable[str], arcs: Iterable[tuple[str, str]]) -> "Digraph":
         arcs = tuple(arcs)
-        if labels is None:
-            labels = tuple(f"e{i + 1}" for i in range(len(arcs)))
-        return cls(tuple(vertices), arcs, tuple(labels))
+        return cls(tuple(vertices), arcs, tuple(f"e{i + 1}" for i in range(len(arcs))))
 
     @property
     def ground(self) -> GroundSet:

@@ -12,7 +12,7 @@ from fractions import Fraction
 from .digraphs import Digraph, FarkasCertificate
 from .errors import FormatError, OmlabError
 from .lines import LineSet
-from .matroid import C3_CAP_DEFAULT, CircuitViolation, Matroid, validate_circuits
+from .matroid import CircuitViolation, Matroid, validate_circuits
 from .oriented import CircuitSignature, SignaturePair
 from .signed_sets import GroundSet, SignedSubset
 
@@ -26,7 +26,7 @@ def emit_matroid(m: Matroid) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_matroid_block(block: list[tuple[int, str]], *, c3_cap: int, trusted: bool) -> Matroid:
+def _parse_matroid_block(block: list[tuple[int, str]], *, trusted: bool) -> Matroid:
     if not block:
         raise FormatError("missing ground-set line")
     lineno, head = block[0]
@@ -44,15 +44,15 @@ def _parse_matroid_block(block: list[tuple[int, str]], *, c3_cap: int, trusted: 
             family.append([ground.index(x) for x in names])
         except OmlabError as exc:
             raise FormatError(str(exc), lineno) from None
-    got = validate_circuits(ground, family, c3_cap=c3_cap, trusted=trusted)
+    got = validate_circuits(ground, family, trusted=trusted)
     if isinstance(got, CircuitViolation):
         raise FormatError(f"not a matroid: {got}", block[0][0])
     return got
 
 
-def parse_matroid(text: str, *, c3_cap: int = C3_CAP_DEFAULT, trusted: bool = False) -> Matroid:
+def parse_matroid(text: str) -> Matroid:
     block = [(i + 1, ln) for i, ln in enumerate(text.splitlines()) if ln.strip()]
-    return _parse_matroid_block(block, c3_cap=c3_cap, trusted=trusted)
+    return _parse_matroid_block(block, trusted=False)
 
 
 # -- oriented matroid ------------------------------------------------------------
@@ -68,7 +68,7 @@ def emit_oriented(pair: SignaturePair) -> str:
     return "\n".join(out) + "\n"
 
 
-def parse_oriented(text: str, *, c3_cap: int = C3_CAP_DEFAULT, trusted: bool = False) -> SignaturePair:
+def parse_oriented(text: str, *, trusted: bool = False) -> SignaturePair:
     blocks: list[list[tuple[int, str]]] = [[]]
     for i, ln in enumerate(text.splitlines()):
         if ln.strip():
@@ -82,7 +82,7 @@ def parse_oriented(text: str, *, c3_cap: int = C3_CAP_DEFAULT, trusted: bool = F
             f"expected matroid, signed-circuit, and signed-cocircuit blocks "
             f"separated by blank lines (got {len(blocks)} blocks)"
         )
-    matroid = _parse_matroid_block(blocks[0], c3_cap=c3_cap, trusted=trusted)
+    matroid = _parse_matroid_block(blocks[0], trusted=trusted)
 
     def parse_signed(block: list[tuple[int, str]], owner: Matroid) -> CircuitSignature:
         reps = []

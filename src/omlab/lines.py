@@ -196,8 +196,7 @@ def u3_signature(q: LineSet, *, negative_points: bool = False) -> SignaturePair:
     derived = derive_cocircuit_signature(m.dual(), cosig)
     if isinstance(derived, DeriveFailure):
         raise InvariantError(f"free line set failed to orient: {derived}")
-    csig = CircuitSignature(m, derived.signed)
-    return SignaturePair(m, csig, cosig)
+    return SignaturePair(m, derived, cosig)  # the dual's dual is m itself, so derived is over m
 
 
 def _small_int_vectors() -> Iterator[Vec]:

@@ -2,7 +2,8 @@
 
 Circuits are the primary representation; duals and minors are derived and
 cached.  Validation of the circuit axioms is exhaustive and therefore
-refuses ground sets above a configurable cap.
+refuses ground sets larger than the fixed cap ``C3_CAP_DEFAULT``;
+``trusted=True`` skips validation.
 """
 
 from __future__ import annotations
@@ -77,15 +78,8 @@ class Matroid:
         self._contractions: dict[int, tuple[int, ...]] = {}
 
     @classmethod
-    def from_circuits(
-        cls,
-        ground: GroundSet,
-        family: Iterable[Iterable[int]],
-        *,
-        c3_cap: int = C3_CAP_DEFAULT,
-        trusted: bool = False,
-    ) -> "Matroid":
-        got = validate_circuits(ground, family, c3_cap=c3_cap, trusted=trusted)
+    def from_circuits(cls, ground: GroundSet, family: Iterable[Iterable[int]]) -> "Matroid":
+        got = validate_circuits(ground, family)
         if isinstance(got, CircuitViolation):
             raise ValidationError(str(got))
         return got
@@ -289,7 +283,6 @@ def validate_circuits(
     ground: GroundSet,
     family: Iterable[Iterable[int] | int],
     *,
-    c3_cap: int = C3_CAP_DEFAULT,
     trusted: bool = False,
 ) -> Matroid | CircuitViolation:
     """Check (C1), (C2) and the finite elimination axiom (C3).
@@ -297,8 +290,8 @@ def validate_circuits(
     (C3) is decided from its single-element instances; families are searched
     only to name the first violation in canonical scan order, which is then
     returned, else the matroid.  ``trusted=True`` skips (C3); otherwise
-    ground sets larger than ``c3_cap`` are refused because the (C3) search
-    is exponential.
+    ground sets larger than ``C3_CAP_DEFAULT`` are refused because the (C3)
+    search is exponential.
     """
     masks = _canonical(
         (c if isinstance(c, int) else mask_of(c)) for c in family
@@ -316,9 +309,9 @@ def validate_circuits(
                 f"circuit {sorted(bits(small))} is contained in circuit {sorted(bits(big))}",
             )
     if not trusted:
-        if ground.size > c3_cap:
+        if ground.size > C3_CAP_DEFAULT:
             raise CapExceededError(
-                f"(C3) validation needs ground size <= {c3_cap} (got {ground.size}); "
+                f"(C3) validation needs ground size <= {C3_CAP_DEFAULT} (got {ground.size}); "
                 "pass trusted=True to skip"
             )
         bad = _find_c3_violation(masks)

@@ -891,15 +891,15 @@ class _Inside(dict):
         return got
 
 
-def _live_planes(masks: list[int], planes: list[int], full: int, inside: _Inside | None = None) -> list[int]:
+def _live_planes(masks: list[int], inside: _Inside) -> list[int]:
     """Per member s of ``masks``, the positions where s \\ f is a circuit of the contraction by f.
 
-    ``planes[e]`` holds the positions whose set f contains e (``inside``, if
-    given, is their memo).  s \\ f is a minimal nonempty set D \\ f exactly
-    when s is not inside f and no member D has D \\ s inside f, D not inside f
-    and s \\ D not inside f.
+    ``inside[x]`` holds the positions whose set f contains all of mask x.
+    s \\ f is a minimal nonempty set D \\ f exactly when s is not inside f
+    and no member D has D \\ s inside f, D not inside f and s \\ D not
+    inside f.
     """
-    inside = inside or _Inside(planes, full)
+    full = inside[0]  # every position's set contains the empty mask
     out = []
     for s in masks:
         dead = inside[s]
@@ -909,32 +909,36 @@ def _live_planes(masks: list[int], planes: list[int], full: int, inside: _Inside
     return out
 
 
+def _fa_batch(batch):
+    """A painting batch (planes, full, colors_of) with the :class:`_Inside` memos of its
+    contract (color 2) and delete (color 3) planes appended."""
+    planes, full, _ = batch
+    return (*batch, tuple(_Inside([col[color] for col in planes], full) for color in (2, 3)))
+
+
 @functools.cache
 def _single_block(n: int):
-    """The exhaustive (FA) batch of an n <= 8 element ground set: its one block, and the
-    :class:`_Inside` memos of the block's contract and delete planes.  A constant of n."""
-    (block,) = _exhaustive_paintings(n)
-    return (block,), True, tuple(_Inside([col[color] for col in block[0]], block[1]) for color in (2, 3))
+    """The (FA) batch of the one exhaustive block of an n <= 8 element ground set.  A constant of n."""
+    return _fa_batch(next(_exhaustive_paintings(n)))
 
 
-def _fa_members(circ_pairs, cocirc_pairs, batch, matroids=(None, None), insides=(None, None)):
-    """A painting batch's (FA) members per side, (pos, neg, support, live) for ``_paint_bad``.
+def _fa_members(circ_pairs, cocirc_pairs, batch, matroids):
+    """An (FA) batch's members per side, (pos, neg, support, live) for ``_paint_bad``.
 
     A circuit is live where its support minus the contracted set (color 2) is
     a circuit of the contraction; cocircuits read the deleted set (color 3).
-    ``_live_planes`` decides both from the batch's own planes of that color
-    (or their memo in ``insides``), at a cost quadratic in the members.  A
-    batch with fewer paintings than a side has members decides each
-    painting's set from the contraction memo of that side's matroid in
-    ``matroids`` instead.
+    ``_live_planes`` decides both from the batch's own memos of that color's
+    planes, at a cost quadratic in the members.  A batch with fewer
+    paintings than a side has members decides each painting's set from the
+    contraction memo of that side's matroid in ``matroids`` instead.
     """
-    planes, full, colors_of = batch
+    _, full, colors_of, insides = batch
     count = full.bit_length()
 
     def members(reps, color, matroid, inside):
         supports = [s for *_, s in reps]
-        if matroid is None or count >= len(reps):
-            live = _live_planes(supports, [col[color] for col in planes], full, inside)
+        if count >= len(reps):
+            live = _live_planes(supports, inside)
         else:
             live = [0] * len(reps)
             for j in range(count):
@@ -983,14 +987,14 @@ def check_FA(
             states = [rng.randrange(3) for _ in range(n)]
             return [s + 1 if s else rng.randrange(2) for s in states]  # keep: 0, or 1 when reversed
 
-        return (([batch], False, (None, None)) for batch in _sampled_paintings(n, sample, paint))
+        return (([_fa_batch(batch)], False) for batch in _sampled_paintings(n, sample, paint))
 
     def first_bad(batch) -> FAViolation | None:
-        batches, ordered, insides = batch
+        batches, ordered = batch
         found = []
         for paintings in batches:
-            planes, _, colors_of = paintings
-            bad, us, ut = _paint_bad(*_fa_members(circ_pairs, cocirc_pairs, paintings, matroids, insides), planes)
+            planes, _, colors_of, _ = paintings
+            bad, us, ut = _paint_bad(*_fa_members(circ_pairs, cocirc_pairs, paintings, matroids), planes)
             any_bad = functools.reduce(int.__or__, bad, 0)
             if any_bad:
                 j = _fa_first(any_bad, planes) if ordered else (any_bad & -any_bad).bit_length() - 1
@@ -1005,27 +1009,21 @@ def check_FA(
     return _exhaust_or_sample(
         "FA", "minor/reorientation pairs", n, cap, sample, seed,
         # one batch: the (FA)-order first witness may lie in any block
-        lambda: [_single_block(n) if n <= _BLOCK_ELEMENTS else (_exhaustive_paintings(n), True, (None, None))],
+        lambda: [((_single_block(n),) if n <= _BLOCK_ELEMENTS else map(_fa_batch, _exhaustive_paintings(n)), True)],
         sampled, first_bad,
     )
 
 
-def fa_gap_witness(
-    pair: SignaturePair,
-    *,
-    cap: int = FA_CAP_DEFAULT,
-    sample: int | None = None,
-    seed: int = 0,
-) -> FAViolation | None:
+def fa_gap_witness(pair: SignaturePair) -> FAViolation | None:
     """Hunt for a pair with the painting property but without the Farkas axiom.
 
     Whether (4P) alone implies (FA) is open; this harness reports a
     counterexample when one is found and None otherwise.  Finite ground sets
     cannot settle the question, so None is the expected outcome here.
     """
-    if not check_4P(pair, cap=max(cap, FOUR_P_CAP_DEFAULT), sample=sample, seed=seed):
+    if not check_4P(pair):
         return None
-    verdict = check_FA(pair, cap=cap, sample=sample, seed=seed)
+    verdict = check_FA(pair)
     if verdict:
         return None
     return verdict.witness

@@ -18,8 +18,6 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, GroundMismatchError, UnknownElementError
 
-SIGN_CHARS = "+-0"
-
 
 def mask_of(indices: Iterable[int]) -> int:
     m = 0
@@ -64,13 +62,9 @@ class GroundSet:
         return {x: i for i, x in enumerate(self.labels)}
 
     @classmethod
-    def of(cls, labels: Iterable[str]) -> "GroundSet":
-        return cls(tuple(labels))
-
-    @classmethod
-    def range(cls, n: int, prefix: str = "") -> "GroundSet":
-        """Ground set labelled ``prefix+"1"`` .. ``prefix+str(n)``."""
-        return cls(tuple(f"{prefix}{i}" for i in range(1, n + 1)))
+    def range(cls, n: int) -> "GroundSet":
+        """Ground set labelled ``"1"`` .. ``str(n)``."""
+        return cls(tuple(str(i) for i in range(1, n + 1)))
 
     @property
     def size(self) -> int:
@@ -125,14 +119,6 @@ class SignedSubset:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_indices(cls, ground: GroundSet, positive: Iterable[int], negative: Iterable[int]) -> "SignedSubset":
-        return cls(ground, mask_of(positive), mask_of(negative))
-
-    @classmethod
-    def from_labels(cls, ground: GroundSet, positive: Iterable[str], negative: Iterable[str]) -> "SignedSubset":
-        return cls(ground, ground.mask_of_labels(positive), ground.mask_of_labels(negative))
-
-    @classmethod
     def from_string(cls, ground: GroundSet, s: str) -> "SignedSubset":
         """Parse a sign-vector string, one of ``+-0`` per ground element."""
         if len(s) != ground.size:
@@ -179,9 +165,6 @@ class SignedSubset:
     def is_positive(self) -> bool:
         """Nonempty support, all positive (the empty subset never qualifies)."""
         return self.pos != 0 and self.neg == 0
-
-    def is_negative(self) -> bool:
-        return self.neg != 0 and self.pos == 0
 
     def to_string(self) -> str:
         out = []

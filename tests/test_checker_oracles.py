@@ -36,7 +36,9 @@ from omlab.oriented import (
     FA_CAP_DEFAULT,
     FOUR_P_CAP_DEFAULT,
     _exhaustive_paintings,
+    _fa_batch,
     _fa_members,
+    _Inside,
     _live_planes,
     _sampled_paintings,
     CEViolation,
@@ -893,7 +895,7 @@ def subset_planes(n: int) -> list[int]:
 
 def assert_liveness_matches_contraction(n: int, masks) -> None:
     masks = list(masks)
-    live = _live_planes(masks, subset_planes(n), (1 << (1 << n)) - 1)
+    live = _live_planes(masks, _Inside(subset_planes(n), (1 << (1 << n)) - 1))
     for f in range(1 << n):
         circuits = set(contraction_circuit_masks(masks, f))
         assert [x >> f & 1 for x in live] == [int((s & ~f) in circuits) for s in masks], (masks, f)
@@ -948,9 +950,9 @@ def test_fa_members_liveness_matches_contraction_in_every_block(case):
         m = random_paving_matroid(9, rng)  # (FA) liveness ignores signs: any signing serves
         circ_pairs, cocirc_pairs = ([(s, 0, s) for s in side.circuit_masks] for side in (m, m.dual()))
     prefixes = []
-    for batch in _exhaustive_paintings(9):
-        _, full, colors_of = batch
-        circ, cocirc = _fa_members(circ_pairs, cocirc_pairs, batch)
+    for batch in map(_fa_batch, _exhaustive_paintings(9)):
+        _, full, colors_of, _ = batch
+        circ, cocirc = _fa_members(circ_pairs, cocirc_pairs, batch, (m, m.dual()))
         assert [x[:3] for x in circ] == circ_pairs and [x[:3] for x in cocirc] == cocirc_pairs
         for j in rng.sample(range(full.bit_length()), 300):
             colors = colors_of(j)
@@ -1309,8 +1311,10 @@ def test_fa_members_per_draw_liveness_matches_planes(sample):
     per_draw = 0
     for circ, cocirc, m, dual in cases:
         n = m.ground.size
-        for batch in _sampled_paintings(n, sample, lambda: [rng.randrange(4) for _ in range(n)]):
-            assert _fa_members(circ, cocirc, batch, (m, dual)) == _fa_members(circ, cocirc, batch), (m, sample)
+        for batch in map(_fa_batch, _sampled_paintings(n, sample, lambda: [rng.randrange(4) for _ in range(n)])):
+            want = [[(*x, live) for x, live in zip(reps, _live_planes([s for *_, s in reps], inside))]
+                    for reps, inside in zip((circ, cocirc), batch[3])]
+            assert list(_fa_members(circ, cocirc, batch, (m, dual))) == want, (m, sample)
             per_draw += sample < max(len(circ), len(cocirc))
     assert per_draw
 

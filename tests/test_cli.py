@@ -52,6 +52,14 @@ def test_check_porcelain_fields(alt5_file, capsys):
     assert lines[-1] == "verdict=pass"
 
 
+def test_check_which_runs_each_named_check_once(alt5_file, capsys):
+    code, out, _ = run(capsys, "check", alt5_file, "--porcelain", "--which", "O,O,FP,O")
+    assert code == 0
+    keys = [line.partition("=")[0] for line in out.splitlines()]
+    assert len(keys) == len(set(keys)), keys
+    assert [k for k in keys if k.endswith(".status")] == ["check.O.status", "check.FP.status"]
+
+
 def test_check_corrupted_fails_with_witness(alt5_file, tmp_path, capsys):
     text = open(alt5_file).read()
     bad = text.replace("+-+00", "--+00", 1)
@@ -466,6 +474,8 @@ def test_trust_input_skips_validation_cap(tmp_path, capsys):
     capsys.readouterr()
     code, _, err = run(capsys, "check", str(om), "--which", "O")
     assert code == 2 and "cap exceeded" in err
+    # the refusal is validate_circuits' own, reached through parse_oriented
+    assert err.startswith("cap exceeded: (C3) validation needs ground size <= 12 (got 13); pass trusted=True to skip\n")
     code, out, _ = run(capsys, "--trust-input", "check", str(om), "--which", "O")
     assert code == 0
 

@@ -5,7 +5,9 @@ import pytest
 from conftest import fig4_digraph
 from omlab import graphic_om
 from omlab.errors import CapExceededError, DomainError, UnknownElementError, ValidationError
+from omlab.formats import emit_oriented, parse_oriented
 from omlab.matroid import CircuitViolation, Matroid, MinorSpec, _canonical, validate_circuits
+from omlab.oriented import alternating_rank2
 from omlab.signed_sets import GroundSet, bits, mask_of
 
 G3 = GroundSet.range(3)
@@ -104,12 +106,25 @@ def test_c3_violation_two_overlapping_pairs():
 
 
 def test_c3_cap_refusal_and_trusted_skip():
+    # the cap is the fixed C3_CAP_DEFAULT = 12: U(2, 12) validates, U(2, 13) is refused
+    assert isinstance(validate_circuits(GroundSet.range(12), itertools.combinations(range(12), 3)), Matroid)
     big = GroundSet.range(13)
     family = [list(c) for c in itertools.combinations(range(13), 3)]
-    with pytest.raises(CapExceededError):
+    refusal = "(C3) validation needs ground size <= 12 (got 13); pass trusted=True to skip"
+    with pytest.raises(CapExceededError) as exc:
         validate_circuits(big, family)
+    assert str(exc.value) == refusal
     got = validate_circuits(big, family, trusted=True)
     assert isinstance(got, Matroid)
+    # trusted=True skips (C3) itself, not only the cap
+    assert isinstance(validate_circuits(G3, [[0, 1], [0, 2]], trusted=True), Matroid)
+    # parse_oriented validates through the same path; test_cli pins the CLI's exit 2 on it
+    assert parse_oriented(emit_oriented(alternating_rank2(12))) == alternating_rank2(12)
+    text = emit_oriented(alternating_rank2(13))
+    with pytest.raises(CapExceededError) as exc:
+        parse_oriented(text)
+    assert str(exc.value) == refusal
+    assert parse_oriented(text, trusted=True) == alternating_rank2(13)
 
 
 def test_from_circuits_raises():
