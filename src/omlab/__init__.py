@@ -1,5 +1,7 @@
 """omlab: a finite-scale laboratory for oriented-matroid axiom systems."""
 
+from types import ModuleType as _ModuleType
+
 from .digraphs import (
     Digraph,
     FarkasCertificate,
@@ -47,5 +49,5 @@ from .oriented import (
 )
 from .signed_sets import GroundSet, SignedSubset, compose
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir() if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]
 __version__ = "0.1.0"

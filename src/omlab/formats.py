@@ -112,6 +112,9 @@ def emit_digraph(d: Digraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+_MAX_VERTICES = 1000  # a digraph file's vertex count; each vertex is named before any arc is read
+
+
 def parse_digraph(text: str) -> Digraph:
     rows = [(i + 1, ln.strip()) for i, ln in enumerate(text.splitlines()) if ln.strip()]
     if not rows:
@@ -123,6 +126,8 @@ def parse_digraph(text: str) -> Digraph:
         raise FormatError(f"expected a vertex count, got {head!r}", lineno) from None
     if count < 0:
         raise FormatError("negative vertex count", lineno)
+    if count > _MAX_VERTICES:
+        raise FormatError(f"vertex count above {_MAX_VERTICES}", lineno)
     vertices = tuple(str(i) for i in range(1, count + 1))
     arcs = []
     labels = []

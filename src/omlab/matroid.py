@@ -300,14 +300,15 @@ def validate_circuits(
         ground.check_mask(m)
     if any(m == 0 for m in masks):
         return CircuitViolation("C1", ((),), "the empty set is listed as a circuit")
-    for a, b in itertools.combinations(masks, 2):
-        if a & ~b == 0 or b & ~a == 0:
-            small, big = (a, b) if a & ~b == 0 else (b, a)
-            return CircuitViolation(
-                "C2",
-                (indices(small), indices(big)),
-                f"circuit {sorted(bits(small))} is contained in circuit {sorted(bits(big))}",
-            )
+    nested = _first_nested(masks)
+    if nested is not None:
+        a, b = (masks[i] for i in nested)
+        small, big = (a, b) if a & ~b == 0 else (b, a)
+        return CircuitViolation(
+            "C2",
+            (indices(small), indices(big)),
+            f"circuit {sorted(bits(small))} is contained in circuit {sorted(bits(big))}",
+        )
     if not trusted:
         if ground.size > C3_CAP_DEFAULT:
             raise CapExceededError(
@@ -326,19 +327,46 @@ def validate_circuits(
     return Matroid._from_valid(ground, masks)
 
 
+def _first_nested(masks: Sequence[int]) -> tuple[int, int] | None:
+    """The first pair i < j, in ``itertools.combinations`` order, where one of
+    the distinct masks i and j contains the other.
+
+    Distinct masks of one size never do.  Bit k of element e's plane says
+    that mask k has e: the masks inside mask i are in no plane of an element
+    outside it, and those around it are in every plane of its elements.
+    """
+    if len({m.bit_count() for m in masks}) < 2:
+        return None
+    planes = [0] * max(masks).bit_length()
+    for k, m in enumerate(masks):
+        for e in bits(m):
+            planes[e] |= 1 << k
+    for i, m in enumerate(masks):
+        inside = around = (1 << len(masks)) - 1
+        for e, plane in enumerate(planes):
+            if m >> e & 1:
+                around &= plane
+            else:
+                inside &= ~plane
+        later = (inside | around) >> (i + 1)
+        if later:
+            return i, i + (later & -later).bit_length()
+    return None
+
+
 def _find_c3_violation(masks: tuple[int, ...]) -> tuple[int, int, tuple[int, ...], int] | None:
     """First (C, X, family, f) for which strong elimination has no witness.
 
     Circuits C and subsets X of C go in canonical order, once
-    :func:`_elimination_scan` has failed an instance with |X| = 1.  The union
-    to blame is the one met first with each member's options taken in reverse
-    canonical order; the family reported is the first, in canonical order,
-    with that union.  Both come from :func:`_first_bad_family`, and a retained
-    f is covered when :func:`_cover` finds a circuit through f inside
-    (C | union) minus X.
+    :func:`_elimination_scan` has found that weak elimination fails.  The
+    union to blame is the one met first with each member's options taken in
+    reverse canonical order; the family reported is the first, in canonical
+    order, with that union.  Both come from :func:`_first_bad_family`, and a
+    retained f is covered when :class:`_Cover` finds a circuit through f
+    inside (C | union) minus X.  ``masks`` must be a clutter, as (C2) ensures.
     """
     n = max(masks, default=0).bit_length()
-    cover = _cover(masks, n)
+    cover = _Cover(masks, n)
     through = [[d for d in masks if d >> e & 1] for e in range(n)]
 
     def instance(i: int, x_combo: tuple[int, ...]):
@@ -358,34 +386,40 @@ def _find_c3_violation(masks: tuple[int, ...]) -> tuple[int, int, tuple[int, ...
         got = bad(u)
         return c, x, fam, (got & -got).bit_length() - 1
 
-    return next(filter(None, map(first_bad, _elimination_scan(masks, instance, first_bad))), None)
+    scan = _elimination_scan(masks, instance, lambda: cover.weak([(ds, ds) for ds in through]))
+    return next(filter(None, map(first_bad, scan)), None)
 
 
-def _elimination_scan(supports: Sequence[int], instance, first_bad) -> Iterator:
+def _elimination_scan(supports: Sequence[int], instance, weak) -> Iterator:
     """The instances an exhaustive (C3) or (CE) scan visits: all of them, or none.
 
     ``instance(i, x_combo)`` eliminates ``x_combo`` from support i; instances go by
-    support, size of X and X, in canonical order (one whose element has no
-    option has no family, so ``first_bad`` passes it).  None is yielded when
-    ``first_bad`` passes every |X| = 1 instance, as then all pass.  Proof:
-    eliminate x1, ..., xk from C_0 = C in turn; C_j is C_(j-1) if x_j is not in
-    it, else the witness through f of (C_(j-1), x_j, D_xj).  D_xj avoids X minus
-    x_j, so nothing leaves the signed union of C and the D's minus X, where
-    x_(j+1) has C's sign only: C_j still carries it.  f keeps its sign, as no D
-    opposes f.  Negating an instance negates its witness.  This is how finite
-    matroids satisfy the infinite elimination axiom (Bruhn, Diestel, Kriesell,
-    Pendavingh and Wollan, "Axioms for infinite matroids", Adv. Math. 2013).
-    """
+    support, size of X and X, in canonical order.  None is yielded when
+    ``weak()`` says that weak elimination holds (:meth:`_Cover.weak`), which
+    callers ask only of a clutter of supports.
 
-    def instances(singles: bool):
+    Weak elimination implies strong elimination over a clutter: for unsigned
+    circuits (Oxley, *Matroid Theory*, section 1.4), and for symmetric
+    signed circuits with one opposite pair per support by Bland and Las
+    Vergnas (Bjoerner et al., *Oriented Matroids*, section 3.2).  So every
+    instance with |X| = 1 passes, and then all do: eliminate x1, ..., xk
+    from C_0 = C in turn; C_j is C_(j-1) if x_j is not in it, else the
+    witness through f of (C_(j-1), x_j, D_xj).  D_xj avoids X minus x_j, so
+    nothing leaves the signed union of C and the D's minus X, where x_(j+1)
+    has C's sign only: C_j still carries it.  f keeps its sign, as no D
+    opposes f.  Negating an instance negates its witness.  This is how
+    finite matroids satisfy the infinite elimination axiom (Bruhn, Diestel,
+    Kriesell, Pendavingh and Wollan, "Axioms for infinite matroids", Adv.
+    Math. 2013).  Conversely, when weak elimination fails for C and D at x,
+    D has an element f outside C, the supports being a clutter, and the
+    |X| = 1 instance (D, x, C) has no witness through f.
+    """
+    if not weak():
         for i, s in enumerate(supports):
             xs = list(bits(s))
-            for size in range(1, 2 if singles else len(xs) + 1):
+            for size in range(1, len(xs) + 1):
                 for x_combo in itertools.combinations(xs, size):
                     yield instance(i, x_combo)
-
-    if any(map(first_bad, instances(True))):
-        yield from instances(False)
 
 
 def _first_bad_family(opts: list[list[int]], bad) -> tuple[tuple[int, ...], int] | None:
@@ -418,36 +452,79 @@ def _first_bad_family(opts: list[list[int]], bad) -> tuple[tuple[int, ...], int]
     return tuple(family), u
 
 
-def _cover(members: Iterable[int], n: int):
-    """Memoised map from an allowed set to the elements it covers.
+class _Inside(dict):
+    """Memo of the positions whose set contains all of mask x, from per-element ``planes``."""
+
+    def __init__(self, planes: list[int], full: int):
+        super().__init__({0: full})
+        self.planes = planes
+
+    def __missing__(self, x: int) -> int:
+        low = x & -x
+        got = self[x] = self[x ^ low] & self.planes[low.bit_length() - 1]
+        return got
+
+
+class _Cover:
+    """Bit-sliced queries on packed members.
 
     Members and allowed sets are packed signed masks, ``pos | neg << n``
     (unsigned circuits have an empty negative part).  A member is usable
     when it packs inside the allowed set, and element e is covered when a
-    usable member's support contains e.  Bit i of element j's plane says
-    that member i contains j; a member is blocked by any plane of a position
-    outside the allowed set.
+    usable member's support contains e.  Bit i of position j's plane says
+    that member i has j; a member is blocked by any plane of a position
+    outside the allowed set.  Calling with an allowed set gives the covered
+    elements, memoised per allowed set.
     """
-    planes = [0] * (2 * n)
-    for i, d in enumerate(members):
-        for j in bits(d):
-            planes[j] |= 1 << i
-    used = [(j, plane) for j, plane in enumerate(planes) if plane]
-    supports = [(1 << e, planes[e] | planes[e + n]) for e in range(n)]
-    memo: dict[int, int] = {}
 
-    def cover(allowed: int) -> int:
-        got = memo.get(allowed)
+    def __init__(self, members: Sequence[int], n: int):
+        self.planes = planes = [0] * (2 * n)
+        for i, d in enumerate(members):
+            for j in bits(d):
+                planes[j] |= 1 << i
+        self.n, self.every = n, (1 << len(members)) - 1
+        self.used = [(j, plane) for j, plane in enumerate(planes) if plane]
+        self.supports = [(1 << e, planes[e] | planes[e + n]) for e in range(n)]
+        self.covered: dict[int, int] = {}
+
+    def __call__(self, allowed: int) -> int:
+        got = self.covered.get(allowed)
         if got is None:
             blocked = 0
-            for j, plane in used:
+            for j, plane in self.used:
                 if not allowed >> j & 1:
                     blocked |= plane
             got = 0
-            for eb, plane in supports:
+            for eb, plane in self.supports:
                 if plane & ~blocked:
                     got |= eb
-            memo[allowed] = got
+            self.covered[allowed] = got
         return got
 
-    return cover
+    def weak(self, opposed: list[tuple[list[int], list[int]]]) -> bool:
+        """Whether weak elimination holds: for each element x and i < j, some
+        member packs inside (N[i] | P[j]) minus x, where ``opposed[x] = (N, P)``
+        lists the members with - and with + at x, one per support in the same
+        order (for (C3) both list the circuits through x).  j < i asks the
+        negated question, which a symmetric family answers alike, and j = i
+        pairs a member with its negative (for (C3), itself).  Per sign half, an
+        :class:`_Inside` memo over the complemented planes holds the members
+        with no position in a set.
+        """
+        n, every = self.n, self.every
+        half, full = (1 << n) - 1, (1 << 2 * n) - 1
+        pos, neg = (_Inside([every & ~p for p in side], every) for side in (self.planes[:n], self.planes[n:]))
+        usable: dict[int, int] = {}
+        # (N[i] | P[j]) minus x leaves out the positions both leave out, and x
+        for x, sides in enumerate(opposed):
+            xx = 1 << x | 1 << (x + n)
+            outs, along = ([full & ~d | xx for d in side] for side in sides)
+            for i, c in enumerate(outs, 1):
+                for d in along[i:]:
+                    out = c & d
+                    got = usable.get(out)
+                    if got is None:
+                        got = usable[out] = pos[out & half] & neg[out >> n]
+                    if not got:
+                        return False
+        return True

@@ -19,7 +19,9 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .errors import CapExceededError, DomainError, GroundMismatchError, InvariantError, ValidationError
-from .matroid import Matroid, MinorSpec, _cover, _elimination_scan, _first_bad_family, _minor_ground, relabel
+from .matroid import (
+    Matroid, MinorSpec, _Cover, _elimination_scan, _first_bad_family, _first_nested, _Inside, _minor_ground, relabel,
+)
 from .signed_sets import GroundSet, SignedSubset, bits, indices, mask_of
 
 FOUR_P_CAP_DEFAULT = 10
@@ -789,9 +791,9 @@ def check_CE(
     ``pos | neg << n``.  Admissibility depends on a family only through the
     OR of its members, so ``matroid._first_bad_family`` searches the
     distinct unions and returns the first failing family in enumeration
-    order, and the bit-sliced ``matroid._cover`` tells which retained
+    order, and the bit-sliced ``matroid._Cover`` tells which retained
     elements an admissible member covers, once ``matroid._elimination_scan``
-    has failed an instance with |X| = 1; a pass needs no family.  A sampled
+    has found that weak elimination fails; a pass needs no family.  A sampled
     draw is one instance with one drawn member per level and one retained f.
     """
     ground = sig.ground
@@ -799,9 +801,9 @@ def check_CE(
     full = ground.full_mask
     reps = sig.representatives()
     packed = [p | m << n for p, m, _ in sig.member_masks()]
-    cover = _cover(packed, n)
+    cover = _Cover(packed, n)
     # members whose negative / positive part contains e: the options against a
-    # positive / negative sign of C at e
+    # positive / negative sign of C at e, one per support, in support order
     against = [
         ([d for d in packed if d >> (e + n) & 1], [d for d in packed if d >> e & 1]) for e in range(n)
     ]
@@ -861,7 +863,11 @@ def check_CE(
         family = {xi: SignedSubset(ground, d & full, d >> n) for xi, d in zip(x_combo, fam)}
         return CEViolation(EliminationInstance.of(c, family, (got & -got).bit_length() - 1))
 
-    exhaustive = functools.partial(_elimination_scan, [c.support for c in reps], instance, first_bad)
+    # a trusted non-matroid's dual need not be a clutter, where weak elimination decides nothing
+    supports = [c.support for c in reps]
+    exhaustive = functools.partial(
+        _elimination_scan, supports, instance, lambda: _first_nested(supports) is None and cover.weak(against)
+    )
     verdict = _exhaust_or_sample("CE", "instances", n, cap, sample, seed, exhaustive, sampled, first_bad)
     if sample is None:
         return verdict
@@ -876,19 +882,6 @@ def check_CE(
 # The (4P) kernel decides (FA) too: read the colors as keep (B), keep
 # reversed (W), contract (G) and delete (R), and each painting is one minor
 # with one reorientation of its kept elements.
-
-
-class _Inside(dict):
-    """Memo of the positions whose set contains all of mask x, from per-element ``planes``."""
-
-    def __init__(self, planes: list[int], full: int):
-        super().__init__({0: full})
-        self.planes = planes
-
-    def __missing__(self, x: int) -> int:
-        low = x & -x
-        got = self[x] = self[x ^ low] & self.planes[low.bit_length() - 1]
-        return got
 
 
 def _live_planes(masks: list[int], inside: _Inside) -> list[int]:

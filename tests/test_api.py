@@ -16,10 +16,10 @@ ALL = [
     "SignaturePair", "SignedSubset", "UnknownElementError", "ValidationError", "Verdict",
     "alternating_rank2", "check_4P", "check_4P_at", "check_CE", "check_FA", "check_FP",
     "check_orthogonality", "check_signature_uniqueness", "compose", "conformal_decompose",
-    "decompose_nonneg_flow", "derive_cocircuit_signature", "digraphs", "disjoint_cocircuit_decomposition",
-    "eliminate_avoiding", "errors", "fa_gap_witness", "fp_report", "graphic_om", "induced_sets",
-    "induced_signature", "is_flow", "is_free", "lex_canonical", "lines", "matroid", "minty_certificate",
-    "neat_prefix", "oriented", "signed_sets", "special_eliminate", "triple_plane_concurrency",
+    "decompose_nonneg_flow", "derive_cocircuit_signature", "disjoint_cocircuit_decomposition",
+    "eliminate_avoiding", "fa_gap_witness", "fp_report", "graphic_om", "induced_sets",
+    "induced_signature", "is_flow", "is_free", "lex_canonical", "minty_certificate",
+    "neat_prefix", "special_eliminate", "triple_plane_concurrency",
     "u3_signature", "validate_circuits", "vectors",
 ]
 

@@ -430,20 +430,20 @@ def test_ce_sampled_matches_scalar_on_pool(instance_pool):
     assert failing > 20
 
 
-# -- the single-element decision: a scan searches families only after a
-# failing |X| = 1 instance.  Whole verdicts cannot show a pre-test that is too
+# -- the weak-elimination decision: a scan searches families only when weak
+# elimination fails.  Whole verdicts cannot show a pre-test that is too
 # strict, since it falls back to the same search, so the decision itself is
 # recorded and compared with the depth-first scans' pass or fail.
 
 
 @contextlib.contextmanager
 def recorded_decisions():
-    """Per elimination scan run inside the block: did some |X| = 1 instance fail?"""
+    """Per elimination scan run inside the block: did it search the instances?"""
     real = matroid._elimination_scan
     decided = []
 
-    def spy(supports, instance, first_bad):
-        scan = list(real(supports, instance, first_bad))
+    def spy(supports, instance, weak):
+        scan = list(real(supports, instance, weak))
         decided.append(bool(scan))
         return scan
 
@@ -515,6 +515,128 @@ def test_single_element_ce_decision_is_exact_on_rank3_multi_flips(base, seed):
         mutant = corrupt_pair(mutant, rng)
     for sig in (mutant.circuit_sig, mutant.cocircuit_sig):
         assert single_fails(check_CE, sig) == dfs_ce_fails(sig)
+
+
+# -- the retired decision: a scan searched families only after some |X| = 1
+# instance failed strong elimination.  Run as the only instances a checker
+# sees, it fails the checker exactly when that decision searched, so the weak
+# decision is compared with it in both directions.
+
+
+def single_element_scan(supports, instance, weak):
+    """Every |X| = 1 instance, in canonical order, whatever weak elimination says."""
+    for i, s in enumerate(supports):
+        for x in bits(s):
+            yield instance(i, (x,))
+
+
+def retired_fails(check, *args) -> bool:
+    """Whether ``check(*args)`` fails an |X| = 1 instance."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matroid, "_elimination_scan", single_element_scan)
+        mp.setattr(oriented, "_elimination_scan", single_element_scan)
+        got = check(*args)
+    return isinstance(got, CircuitViolation) if check is validate_circuits else not got.ok
+
+
+def assert_weak_matches_retired(check, *args, label=None) -> bool:
+    fails = retired_fails(check, *args)
+    assert single_fails(check, *args) == fails, label
+    return fails
+
+
+def test_weak_decision_matches_retired_on_random_clutters():
+    failing = 0
+    for seed in range(600, 1600):
+        ground, masks = random_clutter(random.Random(seed))
+        failing += assert_weak_matches_retired(validate_circuits, ground, masks, label=seed)
+    assert 200 < failing < 800
+
+
+def test_weak_decision_matches_retired_on_random_signings():
+    # the pool carries only 42 matroids; random signings of random (C3)-valid
+    # clutters and paving matroids reach many more (164 of these 1020 fail)
+    rng = random.Random(23)
+    failing = total = 0
+    for k, m in enumerate(random_matroids(150) + [random_paving_matroid(rng.randint(5, 7), rng) for _ in range(20)]):
+        for side in (m, m.dual()):
+            for _ in range(3):
+                failing += assert_weak_matches_retired(check_CE, random_signing(side, rng), label=k)
+                total += 1
+    assert 100 < failing < total - 100
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(CE_BASES), st.integers(0, 2**32 - 1))
+def test_weak_decision_matches_retired_on_mutants(base, seed):
+    mutant = corrupt_pair(base, random.Random(seed))
+    for sig in (mutant.circuit_sig, mutant.cocircuit_sig):
+        assert_weak_matches_retired(check_CE, sig)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(RANK3_BASES), st.integers(0, 2**32 - 1))
+def test_weak_decision_matches_retired_on_rank3_multi_flips(base, seed):
+    rng = random.Random(seed)
+    mutant = base
+    for _ in range(rng.randint(2, 4)):
+        mutant = corrupt_pair(mutant, rng)
+    for sig in (mutant.circuit_sig, mutant.cocircuit_sig):
+        assert_weak_matches_retired(check_CE, sig)
+
+
+def test_weak_decision_needs_a_clutter():
+    # supports that are not a clutter, as a trusted non-matroid's hyperplane
+    # dual can have: weak elimination holds (eliminating 1 from +{1} and
+    # -{0, 1, 2} leaves -{2}, and likewise for 2), yet +{0, 1, 2} and -{1}
+    # have no witness through 0, so the scan must search
+    ground = GroundSet.range(3)
+    m = Matroid._from_valid(ground, [mask_of([0, 1, 2]), mask_of([1]), mask_of([2])])
+    sig = CircuitSignature.from_representatives(
+        m, [SignedSubset(ground, 0b111, 0), SignedSubset(ground, 0b10, 0), SignedSubset(ground, 0b100, 0)]
+    )
+    assert retired_fails(check_CE, sig)
+    assert single_fails(check_CE, sig)
+    assert check_CE(sig) == dfs_check_ce(sig) and not check_CE(sig).ok
+
+
+# -- (C2): the all-pairs loop the plane search replaced
+
+
+def all_pairs_c2(ground, family):
+    """What validate_circuits returned for (C1) and (C2), or None where both hold."""
+    masks = _canonical(c if isinstance(c, int) else mask_of(c) for c in family)
+    if any(m == 0 for m in masks):
+        return CircuitViolation("C1", ((),), "the empty set is listed as a circuit")
+    for a, b in itertools.combinations(masks, 2):
+        if a & ~b == 0 or b & ~a == 0:
+            small, big = (a, b) if a & ~b == 0 else (b, a)
+            return CircuitViolation(
+                "C2",
+                (indices(small), indices(big)),
+                f"circuit {sorted(bits(small))} is contained in circuit {sorted(bits(big))}",
+            )
+    return None
+
+
+def test_c2_first_pair_matches_all_pairs_on_mixed_sizes():
+    nested = 0
+    for seed in range(3000):
+        rng = random.Random(seed)
+        n = rng.randint(1, 9)
+        family = [mask_of(rng.sample(range(n), rng.randint(1, n))) for _ in range(rng.randint(1, 14))]
+        ground = GroundSet.range(n)
+        want = all_pairs_c2(ground, family)
+        got = validate_circuits(ground, family, trusted=True)
+        if want is None:
+            assert isinstance(got, Matroid), seed
+        else:
+            assert got == want and str(got) == str(want), seed
+            nested += want.axiom == "C2"
+    assert nested > 1000
+    # one size: distinct masks never nest, so U(3, 13) needs no comparison
+    u313 = [mask_of(c) for c in itertools.combinations(range(13), 4)]
+    assert isinstance(validate_circuits(GroundSet.range(13), u313, trusted=True), Matroid)
 
 
 # -- subset-scan dual: the cocircuit search the hyperplane dual replaced

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fig4_digraph, triangle
+from omlab import formats
 from omlab.cli import main
 from omlab.digraphs import graphic_om
 from omlab.formats import emit_digraph, emit_lines, emit_oriented, parse_oriented
@@ -282,6 +283,26 @@ def test_sampled_check_of_circuit_free_matroid(tmp_path, capsys):
         "check CE: pass (circuit side: empty family: no elimination instances; "
         "cocircuit side: sampled 5 instances, seed=0, 0 admissible tested)\n"
     ) in out
+
+
+def test_digraph_vertex_count_is_bounded(tmp_path, capsys, monkeypatch):
+    # every vertex is named before any arc is read, so a huge count is refused
+    # before any name is built
+    def bounded_range(*args):
+        got = range(*args)
+        assert len(got) <= 1000, "vertex names built past the bound"
+        return got
+
+    monkeypatch.setattr(formats, "range", bounded_range, raising=False)
+    path = tmp_path / "huge.dg"
+    path.write_text("3999999999\n1 2 a\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "gen", "graphic", str(path))
+    assert time.perf_counter() - start < 0.5
+    assert (code, out, err) == (2, "", "parse error: line 1: vertex count above 1000\n")
+    path.write_text("1000\n1 2 a\n999 1000 b\n")
+    code, out, _ = run(capsys, "gen", "graphic", str(path))
+    assert code == 0 and out.startswith("a,b\n")
 
 
 @pytest.mark.parametrize("flag", ["--cap-4p", "--cap-ce", "--cap-fa"])
