@@ -162,7 +162,9 @@ class CircuitSignature:
 
 
 class SignaturePair:
-    """A matroid with a circuit signature and a cocircuit signature."""
+    """A matroid with a circuit signature and a cocircuit signature.
+
+    Owns an (FA) verdict memo, shared with every minor induced from it and freed with them."""
 
     def __init__(self, matroid: Matroid, circuit_sig: CircuitSignature, cocircuit_sig: CircuitSignature):
         if circuit_sig.matroid != matroid:
@@ -172,6 +174,7 @@ class SignaturePair:
         self.matroid = matroid
         self.circuit_sig = circuit_sig
         self.cocircuit_sig = cocircuit_sig
+        self._fa_memo: dict[tuple, Verdict] = {}
 
     @property
     def ground(self) -> GroundSet:
@@ -467,7 +470,9 @@ def induced_signature(pair: SignaturePair, spec: MinorSpec) -> SignaturePair:
                 "induced signing depends on the choice of lift; the signature pair violates (O)"
             )
         sigs.append(CircuitSignature._trusted(matroid, tuple(side)))
-    return SignaturePair(n, *sigs)
+    minor = SignaturePair(n, *sigs)
+    minor._fa_memo = pair._fa_memo
+    return minor
 
 
 class InducedSets(NamedTuple):
@@ -970,9 +975,19 @@ def check_FA(
     order (keep < contract < delete, element 0 first), then the reorientation
     mask as an integer.  A sample draws ``randrange(3)`` per element, then
     ``randrange(2)`` per kept element, and reports the first failing draw.
+    Exhaustive verdicts go in the memo shared by a root pair and every minor induced from it,
+    keyed by one flat tuple of n, the circuit count and each side's (pos, neg) masks: all the
+    kernel reads, and witnesses name elements by index.  Sampled and over-cap calls bypass it,
+    so a sweep over a pair's minors runs the kernel once per distinct minor.
     """
     n = pair.ground.size
-    circ_pairs, cocirc_pairs = pair.circuit_sig.pair_masks(), pair.cocircuit_sig.pair_masks()
+    circ_pairs, cocirc_pairs = pair.circuit_sig._pairs, pair.cocircuit_sig._pairs
+    memoised = sample is None and n <= cap
+    if memoised:
+        memo_key = n, len(circ_pairs), *(x for side in (circ_pairs, cocirc_pairs) for p, m, _ in side for x in (p, m))
+        verdict = pair._fa_memo.get(memo_key)
+        if verdict is not None:
+            return verdict
     matroids = pair.circuit_sig.matroid, pair.cocircuit_sig.matroid
 
     def sampled(rng: random.Random):
@@ -999,12 +1014,15 @@ def check_FA(
                 found.append((key, FAViolation(MinorSpec(f, g), a, fp)))
         return min(found, key=lambda item: item[0])[1] if found else None
 
-    return _exhaust_or_sample(
+    verdict = _exhaust_or_sample(
         "FA", "minor/reorientation pairs", n, cap, sample, seed,
         # one batch: the (FA)-order first witness may lie in any block
         lambda: [((_single_block(n),) if n <= _BLOCK_ELEMENTS else map(_fa_batch, _exhaustive_paintings(n)), True)],
         sampled, first_bad,
     )
+    if memoised:
+        pair._fa_memo[memo_key] = verdict
+    return verdict
 
 
 def fa_gap_witness(pair: SignaturePair) -> FAViolation | None:

@@ -1618,3 +1618,42 @@ def test_exactly_one_orthogonal_cocircuit_signature(pair):
     assert compatible[0].signed == pair.cocircuit_sig.signed
     derived = derive_cocircuit_signature(pair.matroid, pair.circuit_sig)
     assert compatible[0].signed == derived.signed
+
+
+# -- the per-pair (FA) verdict memo --------------------------------------------------------
+
+
+def assert_memo_matches_fresh_pairs(minors, label) -> tuple[int, int]:
+    """check_FA on each (spec, induced pair), in sweep order, against check_FA on a fresh pair of
+    the same content, which has its own empty memo.  Returns the memo hits, and those that failed."""
+    hits = failing_hits = 0
+    for spec, minor in minors:
+        before = len(minor._fa_memo)
+        got = check_FA(minor)
+        assert got == check_FA(SignaturePair(minor.matroid, minor.circuit_sig, minor.cocircuit_sig)), (label, spec)
+        hit = len(minor._fa_memo) == before
+        hits += hit
+        failing_hits += hit and not got.ok
+    return hits, failing_hits
+
+
+def test_fa_memo_matches_fresh_pairs_on_pool_minors(pool_minors):
+    minors = [(entry.spec, entry.induced) for entry in pool_minors if isinstance(entry.induced, SignaturePair)]
+    hits, failing_hits = assert_memo_matches_fresh_pairs(minors, "pool")
+    assert hits > 0.8 * len(minors) and failing_hits > 100
+
+
+def test_fa_memo_matches_fresh_pairs_on_random_signings():
+    # the pool carries only 42 matroids; random signings of (C3)-valid random
+    # clutters fail (FA) on many minors that repeat within one sweep, so hits
+    # return stored witnesses
+    rng = random.Random(31)
+    failing_hits = 0
+    for k, m in enumerate(random_matroids(30)):
+        pair = SignaturePair(m, random_signing(m, rng), random_signing(m.dual(), rng))
+        minors = []
+        for spec in minor_specs(m.ground.size):
+            with contextlib.suppress(ValidationError):
+                minors.append((spec, induced_signature(pair, spec)))
+        failing_hits += assert_memo_matches_fresh_pairs(minors, k)[1]
+    assert failing_hits > 100

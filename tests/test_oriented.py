@@ -4,7 +4,7 @@ import random
 import pytest
 
 from conftest import corrupt_pair, fig4_digraph, random_free_lineset, triangle
-from omlab import Digraph, graphic_om, u3_signature
+from omlab import Digraph, graphic_om, oriented, u3_signature
 from omlab.errors import CapExceededError, DomainError, GroundMismatchError, UnknownElementError, ValidationError
 from omlab.lines import lex_canonical
 from omlab.matroid import Matroid, MinorSpec
@@ -442,6 +442,37 @@ def test_fa_cap_comes_before_its_tables():
     with pytest.raises(CapExceededError) as info:
         check_FA(alternating_rank2(40))
     assert str(info.value) == "exhaustive (FA) needs ground size <= 8 (got 40); use sampling instead"
+
+
+def test_fa_memo_is_bypassed_by_sampling_and_the_cap():
+    # a minor of the whole alt-5 keeps all of it, so its content is memoised with the root's
+    pair = alternating_rank2(5)
+    minor = induced_signature(pair, MinorSpec.of())
+    assert check_FA(pair) and check_FA(minor).detail == ""
+    mutant = corrupt_pair(pair, random.Random(3))
+    for p in (minor, mutant, minor, mutant):  # each sampled call both before and after an exhaustive one
+        fresh = SignaturePair(p.matroid, p.circuit_sig, p.cocircuit_sig)
+        got = check_FA(p, sample=7, seed=4)
+        assert got == check_FA(fresh, sample=7, seed=4)
+        assert got.detail == "sampled 7 minor/reorientation pairs, seed=4"
+        with pytest.raises(CapExceededError) as info:
+            check_FA(p, cap=4)
+        assert str(info.value) == "exhaustive (FA) needs ground size <= 4 (got 5); use sampling instead"
+        assert check_FA(p) == check_FA(fresh) and check_FA(p).detail == ""
+
+
+def test_fa_memo_is_shared_by_minors_and_not_by_roots(monkeypatch):
+    runs = []
+    paint_bad = oriented._paint_bad
+    monkeypatch.setattr(oriented, "_paint_bad", lambda *args: runs.append(1) or paint_bad(*args))
+    for _ in range(2):  # two roots built separately from the same input
+        root = graphic_om(fig4_digraph())
+        runs.clear()
+        assert check_FA(root)
+        assert runs  # a root's first call runs the kernel
+        runs.clear()
+        assert check_FA(root) and check_FA(induced_signature(root, MinorSpec.of()))
+        assert not runs  # a repeat, and a minor with the root's content, read the memo
 
 
 def test_ce_sampling_on_circuit_free_matroid():
