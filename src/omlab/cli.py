@@ -10,7 +10,7 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import formats, oriented
 from .digraphs import graphic_om, minty_certificate
@@ -39,15 +39,15 @@ from .signed_sets import SignedSubset
 CHECK_NAMES = ("O", "CE", "4P", "FP", "FA")
 
 
-@dataclass
-class Caps:
+# caps and check results: unvalidated NamedTuple records
+class Caps(NamedTuple):
     four_p: int = FOUR_P_CAP_DEFAULT
     ce: int = CE_CAP_DEFAULT
     fa: int = FA_CAP_DEFAULT
 
     @classmethod
     def from_env(cls) -> "Caps":
-        caps = cls()
+        caps = {}
         raw = os.environ.get("OMLAB_CAPS", "")
         for item in raw.split(","):
             item = item.strip()
@@ -61,19 +61,13 @@ class Caps:
             if n < 0:
                 raise FormatError(f"OMLAB_CAPS entry {item!r} is negative")
             key = key.strip().lower()
-            if key == "4p":
-                caps.four_p = n
-            elif key == "ce":
-                caps.ce = n
-            elif key == "fa":
-                caps.fa = n
-            else:
+            if key not in ("4p", "ce", "fa"):
                 raise FormatError(f"OMLAB_CAPS names must be 4p, ce, fa (got {key!r})")
-        return caps
+            caps["four_p" if key == "4p" else key] = n
+        return cls(**caps)
 
 
-@dataclass
-class CheckEntry:
+class CheckEntry(NamedTuple):
     name: str
     ok: bool
     witness: str
@@ -81,8 +75,7 @@ class CheckEntry:
     detail: str = ""
 
 
-@dataclass
-class CheckReport:
+class CheckReport(NamedTuple):
     subject: str
     entries: list[CheckEntry]
 
@@ -161,8 +154,7 @@ def cmd_check(args, caps: Caps) -> int:
     for w in which:
         if w not in CHECK_NAMES:
             raise FormatError(f"unknown check {w!r}; choose from {','.join(CHECK_NAMES)}")
-    report = _run_checks(pair, which, caps, args.sample, args.seed)
-    report.subject = args.file
+    report = _run_checks(pair, which, caps, args.sample, args.seed)._replace(subject=args.file)
     sys.stdout.write(report.render_porcelain() if args.porcelain else report.render())
     return 0 if report.ok else 1
 
@@ -339,13 +331,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        caps = Caps.from_env()
-        if args.cap_4p is not None:
-            caps.four_p = args.cap_4p
-        if args.cap_ce is not None:
-            caps.ce = args.cap_ce
-        if args.cap_fa is not None:
-            caps.fa = args.cap_fa
+        flags = {"four_p": args.cap_4p, "ce": args.cap_ce, "fa": args.cap_fa}
+        caps = Caps.from_env()._replace(**{k: v for k, v in flags.items() if v is not None})
         return args.func(args, caps)
     except CapExceededError as exc:
         sys.stderr.write(

@@ -10,36 +10,37 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import DomainError, GroundMismatchError, InvariantError, UnknownElementError
 from .matroid import Matroid
 from .oriented import CircuitSignature, SignaturePair
-from .signed_sets import GroundSet, SignedSubset, bits, mask_of
+from .signed_sets import GroundSet, SignedSubset, _Frozen, bits, mask_of
 
 
-@dataclass(frozen=True)
-class Digraph:
-    """Vertices plus an ordered list of (tail, head) arcs with distinct labels."""
+class Digraph(_Frozen):
+    """Vertices plus an ordered list of (tail, head) arcs with distinct labels.
 
-    vertices: tuple[str, ...]
-    arcs: tuple[tuple[str, str], ...]
-    labels: tuple[str, ...]
+    Validated: vertex names and arc labels are distinct, one label per arc,
+    and every arc joins two distinct known vertices.
+    """
 
-    def __post_init__(self):
-        if len(set(self.vertices)) != len(self.vertices):
+    __slots__ = _fields = ("vertices", "arcs", "labels")
+
+    def __init__(self, vertices: tuple[str, ...], arcs: tuple[tuple[str, str], ...], labels: tuple[str, ...]):
+        if len(set(vertices)) != len(vertices):
             raise DomainError("vertex names not distinct")
-        if len(self.labels) != len(self.arcs):
+        if len(labels) != len(arcs):
             raise DomainError("need one label per arc")
-        if len(set(self.labels)) != len(self.labels):
+        if len(set(labels)) != len(labels):
             raise DomainError("arc labels not distinct")
-        vset = set(self.vertices)
-        for (t, h), lbl in zip(self.arcs, self.labels):
+        vset = set(vertices)
+        for (t, h), lbl in zip(arcs, labels):
             if t not in vset or h not in vset:
                 raise DomainError(f"arc {lbl} has an unknown endpoint")
             if t == h:
                 raise DomainError(f"arc {lbl} is a loop; loops are rejected")
+        self._fill((vertices, arcs, labels))
 
     @classmethod
     def of(cls, vertices: Iterable[str], arcs: Iterable[tuple[str, str]]) -> "Digraph":
@@ -199,9 +200,8 @@ def graphic_om(d: Digraph) -> SignaturePair:
 # -- Minty certificates -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FarkasCertificate:
-    """Directed cycle or directed bond through an arc, all-positively oriented."""
+class FarkasCertificate(NamedTuple):
+    """Directed cycle or directed bond through an arc, all-positively oriented (an unvalidated record)."""
 
     kind: str  # "directed-cycle" | "directed-bond"
     arcs: frozenset[str]

@@ -7,8 +7,6 @@ Every emitter is deterministic (canonical object order, trailing newline), and
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .digraphs import Digraph, FarkasCertificate
 from .errors import FormatError, OmlabError
 from .lines import LineSet
@@ -157,6 +155,8 @@ _COORD_DIGITS = 1000  # a line-file coordinate written out in full has at most t
 
 def parse_lines(text: str) -> LineSet:
     """Three rational coordinates per nonblank line, each bounded before ``Fraction`` computes 10**exp."""
+    from fractions import Fraction  # imported on first use: most commands parse no rational
+
     out = []
     for i, ln in enumerate(text.splitlines()):
         if not ln.strip():

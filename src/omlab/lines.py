@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import DomainError, InvariantError, UnknownElementError
 from .matroid import Matroid
 from .oriented import CircuitSignature, DeriveFailure, SignaturePair, Verdict, derive_cocircuit_signature
-from .signed_sets import GroundSet, SignedSubset, mask_of
+from .signed_sets import GroundSet, SignedSubset, _Frozen, mask_of
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Vec = tuple[int, int, int]
 
@@ -37,23 +38,21 @@ def det3(a: Vec, b: Vec, c: Vec) -> int:
     return _dot(a, _cross(b, c))
 
 
-@dataclass(frozen=True)
-class Line:
-    """Direction vector: coprime integers, first nonzero component positive."""
+class Line(_Frozen):
+    """Direction vector; validated: nonzero, coprime integers, first nonzero component positive."""
 
-    x: int
-    y: int
-    z: int
+    __slots__ = _fields = ("x", "y", "z")
 
-    def __post_init__(self):
-        v = (self.x, self.y, self.z)
+    def __init__(self, x: int, y: int, z: int):
+        v = (x, y, z)
         if v == (0, 0, 0):
             raise DomainError("a line needs a nonzero direction")
-        if math.gcd(math.gcd(abs(self.x), abs(self.y)), abs(self.z)) != 1:
+        if math.gcd(math.gcd(abs(x), abs(y)), abs(z)) != 1:
             raise DomainError(f"direction {v} is not scaled to coprime integers")
         first = next(c for c in v if c != 0)
         if first < 0:
             raise DomainError(f"direction {v} is not lexicographically positive")
+        self._fill(v)
 
     @property
     def vec(self) -> Vec:
@@ -65,6 +64,8 @@ class Line:
 
 def lex_canonical(v: Sequence[int | Fraction]) -> Line:
     """Canonical representative of the line through ``v``: lex-positive, coprime."""
+    from fractions import Fraction  # imported on first use: most commands parse no rational
+
     if len(v) != 3:
         raise DomainError("expected a 3-vector")
     fracs = [Fraction(c) for c in v]
@@ -80,15 +81,15 @@ def lex_canonical(v: Sequence[int | Fraction]) -> Line:
     return Line(*ints)
 
 
-@dataclass(frozen=True)
-class LineSet:
-    """Ordered, pairwise non-parallel lines through the origin."""
+class LineSet(_Frozen):
+    """Ordered lines through the origin; validated: pairwise non-parallel (distinct)."""
 
-    lines: tuple[Line, ...]
+    __slots__ = _fields = ("lines",)
 
-    def __post_init__(self):
-        if len(set(self.lines)) != len(self.lines):
+    def __init__(self, lines: tuple[Line, ...]):
+        if len(set(lines)) != len(lines):
             raise DomainError("line set contains parallel (identical) lines")
+        self._fill((lines,))
 
     @classmethod
     def of(cls, vectors: Iterable[Sequence[int | Fraction]]) -> "LineSet":

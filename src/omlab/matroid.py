@@ -9,18 +9,16 @@ refuses ground sets larger than the fixed cap ``C3_CAP_DEFAULT``;
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import CapExceededError, DomainError, InvariantError, ValidationError
-from .signed_sets import GroundSet, bits, indices, mask_of
+from .signed_sets import GroundSet, _Frozen, _setattr, bits, indices, mask_of
 
 C3_CAP_DEFAULT = 12
 
 
-@dataclass(frozen=True)
-class CircuitViolation:
-    """Names the violated circuit axiom and carries a concrete witness."""
+class CircuitViolation(NamedTuple):
+    """Names the violated circuit axiom and carries a concrete witness (an unvalidated record)."""
 
     axiom: str
     witness: tuple
@@ -30,20 +28,20 @@ class CircuitViolation:
         return f"({self.axiom}) {self.message}"
 
 
-@dataclass(frozen=True)
-class MinorSpec:
-    """Contract ``contract`` and delete ``delete``; the two must be disjoint."""
+class MinorSpec(_Frozen):
+    """Contract ``contract`` and delete ``delete``; validated: the two are disjoint."""
 
-    contract: frozenset[int]
-    delete: frozenset[int]
+    __slots__ = _fields = ("contract", "delete")
+
+    def __init__(self, contract: frozenset[int], delete: frozenset[int]):
+        if contract & delete:
+            raise DomainError("contract and delete sets overlap")
+        _setattr(self, "contract", contract)
+        _setattr(self, "delete", delete)
 
     @classmethod
     def of(cls, contract: Iterable[int] = (), delete: Iterable[int] = ()) -> "MinorSpec":
         return cls(frozenset(contract), frozenset(delete))
-
-    def __post_init__(self):
-        if self.contract & self.delete:
-            raise DomainError("contract and delete sets overlap")
 
     @property
     def contract_mask(self) -> int:

@@ -15,14 +15,13 @@ import functools
 import itertools
 import random
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .errors import CapExceededError, DomainError, GroundMismatchError, InvariantError, ValidationError
 from .matroid import (
     Matroid, MinorSpec, _Cover, _elimination_scan, _first_bad_family, _first_nested, _Inside, _minor_ground, relabel,
 )
-from .signed_sets import GroundSet, SignedSubset, bits, indices, mask_of
+from .signed_sets import GroundSet, SignedSubset, _Frozen, bits, indices, mask_of
 
 FOUR_P_CAP_DEFAULT = 10
 CE_CAP_DEFAULT = 10
@@ -207,57 +206,60 @@ class SignaturePair:
         )
 
 
-@dataclass(frozen=True)
-class FourPartition:
-    """Disjoint cover of the ground set by black/white/green/red classes."""
+class FourPartition(_Frozen):
+    """Disjoint cover of the ground set by black/white/green/red classes.
 
-    ground: GroundSet
-    black: frozenset[int]
-    white: frozenset[int]
-    green: frozenset[int]
-    red: frozenset[int]
+    Validated: the four classes are pairwise disjoint and cover ``ground``.
+    """
 
-    def __post_init__(self):
-        masks = [mask_of(self.black), mask_of(self.white), mask_of(self.green), mask_of(self.red)]
+    __slots__ = _fields = ("ground", "black", "white", "green", "red")
+
+    def __init__(
+        self, ground: GroundSet, black: frozenset[int], white: frozenset[int], green: frozenset[int], red: frozenset[int]
+    ):
         total = 0
-        for m in masks:
+        for m in map(mask_of, (black, white, green, red)):
             if m & total:
                 raise DomainError("4-partition classes overlap")
             total |= m
-        if total != self.ground.full_mask:
+        if total != ground.full_mask:
             raise DomainError("4-partition does not cover the ground set")
+        self._fill((ground, black, white, green, red))
 
     @classmethod
     def from_masks(cls, ground: GroundSet, b: int, w: int, g: int, r: int) -> "FourPartition":
         return cls(ground, indices(b), indices(w), indices(g), indices(r))
 
 
-@dataclass(frozen=True)
-class EliminationInstance:
-    """Data of one strong-elimination instance: C, X, (C_x | x in X), f."""
+class EliminationInstance(_Frozen):
+    """Data of one strong-elimination instance: C, X, (C_x | x in X), f.
 
-    circuit: SignedSubset
-    members: tuple[tuple[int, SignedSubset], ...]
-    retained: int
+    Validated: every C_x shares C's ground set, each x lies in C's support
+    and separates C from C_x, C_x meets X exactly in x, and f lies in C's
+    support outside every separator.
+    """
 
-    def __post_init__(self):
-        c = self.circuit
+    __slots__ = _fields = ("circuit", "members", "retained")
+
+    def __init__(self, circuit: SignedSubset, members: tuple[tuple[int, SignedSubset], ...], retained: int):
+        x_mask = mask_of(x for x, _ in members)
         sep_union = 0
-        for x, cx in self.members:
-            if cx.ground != c.ground:
+        for x, cx in members:
+            if cx.ground != circuit.ground:
                 raise GroundMismatchError("elimination family mixes ground sets")
             xb = mask_of([x])
-            if not c.support & xb:
+            if not circuit.support & xb:
                 raise DomainError(f"{x} is not in the support of the eliminated circuit")
-            if cx.support & self.x_mask != xb:
+            if cx.support & x_mask != xb:
                 raise DomainError(f"family member for {x} must meet X exactly in {{{x}}}")
-            sep = c.sep_mask(cx)
+            sep = circuit.sep_mask(cx)
             if not sep & xb:
                 raise DomainError(f"{x} must be a separating element of C and C_{x}")
             sep_union |= sep
-        fb = mask_of([self.retained])
-        if not c.support & fb or sep_union & fb:
+        fb = mask_of([retained])
+        if not circuit.support & fb or sep_union & fb:
             raise DomainError("retained element must lie in C's support outside every separator")
+        self._fill((circuit, members, retained))
 
     @classmethod
     def of(cls, circuit: SignedSubset, family: dict[int, SignedSubset], retained: int) -> "EliminationInstance":
@@ -277,11 +279,10 @@ class EliminationInstance:
 
 
 # ---------------------------------------------------------------------------
-# verdicts
+# verdicts and witnesses: unvalidated records, NamedTuples equal to any tuple of the same values
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of a checker; falsy iff a violation was found."""
 
     ok: bool
@@ -292,8 +293,7 @@ class Verdict:
         return self.ok
 
 
-@dataclass(frozen=True)
-class OrthViolation:
+class OrthViolation(NamedTuple):
     circuit: SignedSubset
     cocircuit: SignedSubset
 
@@ -301,8 +301,7 @@ class OrthViolation:
         return f"circuit {self.circuit} not orthogonal to cocircuit {self.cocircuit}"
 
 
-@dataclass(frozen=True)
-class FPViolation:
+class FPViolation(NamedTuple):
     element: int
     kind: str  # "neither" or "both"
 
@@ -310,8 +309,7 @@ class FPViolation:
         return f"element {self.element}: {self.kind} side has a positive member through it"
 
 
-@dataclass(frozen=True)
-class FourPViolation:
+class FourPViolation(NamedTuple):
     partition: FourPartition
     element: int
 
@@ -326,8 +324,7 @@ class FourPViolation:
         )
 
 
-@dataclass(frozen=True)
-class CEViolation:
+class CEViolation(NamedTuple):
     instance: EliminationInstance
 
     def __str__(self) -> str:
@@ -338,8 +335,7 @@ class CEViolation:
         )
 
 
-@dataclass(frozen=True)
-class FAViolation:
+class FAViolation(NamedTuple):
     spec: MinorSpec
     reorient: frozenset[int]
     fp: FPViolation
@@ -351,8 +347,7 @@ class FAViolation:
         )
 
 
-@dataclass(frozen=True)
-class DeriveFailure:
+class DeriveFailure(NamedTuple):
     """A constructed cocircuit not orthogonal to some signed circuit."""
 
     circuit: SignedSubset
@@ -362,8 +357,7 @@ class DeriveFailure:
         return f"derived cocircuit {self.cocircuit} conflicts with circuit {self.circuit}"
 
 
-@dataclass(frozen=True)
-class DecomposeFailure:
+class DecomposeFailure(NamedTuple):
     """No conforming circuit exists through this support element."""
 
     element: int

@@ -12,7 +12,6 @@ every finite-support composition of an infinite family is left undecided.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -41,20 +40,69 @@ def indices(mask: int) -> frozenset[int]:
     return frozenset(bits(mask))
 
 
-@dataclass(frozen=True)
-class GroundSet:
-    """Ordered list of distinct element labels; iteration order is fixed."""
+_setattr = object.__setattr__
 
-    labels: tuple[str, ...]
 
-    def __post_init__(self):
-        if len(set(self.labels)) != len(self.labels):
-            raise DomainError(f"ground-set labels not distinct: {self.labels}")
+class _Frozen:
+    """Base of the validated value types: ``__init__`` validates its arguments,
+    then sets the fields with ``_setattr``.  Equality (same class only), hash
+    and repr go by the tuple of the ``_fields``, and no field can be assigned
+    or deleted.  Plain classes, generated by nothing at import time, keep
+    ``python -m omlab`` start-up short."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _fill(self, values: tuple) -> None:
+        for f, v in zip(self._fields, values):
+            _setattr(self, f, v)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class GroundSet(_Frozen):
+    """Ordered list of distinct element labels; iteration order is fixed.
+
+    Validated: the labels are distinct.  The instance ``__dict__`` holds the
+    label index, built on the first :meth:`index` call.
+    """
+
+    _fields = ("labels",)
+
+    def __init__(self, labels: tuple[str, ...]):
+        if len(set(labels)) != len(labels):
+            raise DomainError(f"ground-set labels not distinct: {labels}")
+        _setattr(self, "labels", labels)
+
+    def __eq__(self, other):
+        return self.labels == other.labels if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.labels,))
 
     def _without(self, dropped: int) -> "GroundSet":
         """The ground set minus the elements of mask ``dropped``; its labels need no distinctness check."""
         ground = object.__new__(GroundSet)
-        object.__setattr__(ground, "labels", tuple(x for i, x in enumerate(self.labels) if not dropped >> i & 1))
+        _setattr(ground, "labels", tuple(x for i, x in enumerate(self.labels) if not dropped >> i & 1))
         return ground
 
     @cached_property
@@ -100,21 +148,30 @@ class GroundSet:
         return len(self.labels)
 
 
-@dataclass(frozen=True)
-class SignedSubset:
+class SignedSubset(_Frozen):
     """A subset of the ground set split into positive and negative parts.
 
     ``pos`` and ``neg`` are disjoint bitmasks; their union is the support.
+    Validated: the parts are disjoint and name only elements of ``ground``.
     """
 
-    ground: GroundSet
-    pos: int
-    neg: int
+    __slots__ = _fields = ("ground", "pos", "neg")
 
-    def __post_init__(self):
-        if self.pos & self.neg:
+    def __init__(self, ground: GroundSet, pos: int, neg: int):
+        if pos & neg:
             raise DomainError("positive and negative parts overlap")
-        self.ground.check_mask(self.pos | self.neg)
+        ground.check_mask(pos | neg)
+        _setattr(self, "ground", ground)
+        _setattr(self, "pos", pos)
+        _setattr(self, "neg", neg)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.ground, self.pos, self.neg) == (other.ground, other.pos, other.neg)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.ground, self.pos, self.neg))
 
     # -- constructors ------------------------------------------------------
 

@@ -1,5 +1,8 @@
 import contextlib
 import io
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -7,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fig4_digraph, triangle
+import omlab
 from omlab import formats
 from omlab.cli import main
 from omlab.digraphs import graphic_om
 from omlab.formats import emit_digraph, emit_lines, emit_oriented, parse_oriented
-from omlab.lines import neat_prefix
+from omlab.lines import neat_prefix, u3_signature
 from omlab.oriented import alternating_rank2
 
 
@@ -510,3 +514,21 @@ def test_gen_int_argument_validation(capsys):
 def test_usage_error_exit_code(capsys):
     assert main([]) == 2
     assert main(["gen"]) == 2
+
+
+def test_cli_start_up_loads_no_dataclasses_inspect_or_fractions(alt5_file, tmp_path):
+    """A fresh interpreter runs ``check`` without importing ``dataclasses``, ``inspect`` or
+    ``fractions``; ``gen neat-prefix`` imports ``fractions`` on first use and still works."""
+    out = tmp_path / "neat8.om"
+    probe = (
+        "import sys\n"
+        "from omlab import cli\n"
+        "watched = ('dataclasses', 'inspect', 'fractions')\n"
+        f"print(cli.main(['check', {alt5_file!r}]), [m for m in watched if m in sys.modules])\n"
+        f"print(cli.main(['gen', 'neat-prefix', '8', '-o', {str(out)!r}]), 'fractions' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(omlab.__file__))}
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-2:] == ["0 []", "0 True"]
+    assert out.read_text() == emit_oriented(u3_signature(neat_prefix(8, 0)))
