@@ -64,16 +64,19 @@ class Line(_Frozen):
 
 def lex_canonical(v: Sequence[int | Fraction]) -> Line:
     """Canonical representative of the line through ``v``: lex-positive, coprime."""
-    from fractions import Fraction  # imported on first use: most commands parse no rational
-
     if len(v) != 3:
         raise DomainError("expected a 3-vector")
-    fracs = [Fraction(c) for c in v]
-    if all(c == 0 for c in fracs):
+    if all(isinstance(c, int) for c in v):  # generated vectors: no rational arithmetic needed
+        ints = list(v)
+    else:
+        from fractions import Fraction  # imported on first use: most commands parse no rational
+
+        fracs = [Fraction(c) for c in v]
+        denom = math.lcm(*(c.denominator for c in fracs))
+        ints = [int(c * denom) for c in fracs]
+    if not any(ints):
         raise DomainError("the zero vector spans no line")
-    denom = math.lcm(*(c.denominator for c in fracs))
-    ints = [int(c * denom) for c in fracs]
-    g = math.gcd(math.gcd(abs(ints[0]), abs(ints[1])), abs(ints[2]))
+    g = math.gcd(*ints)
     ints = [c // g for c in ints]
     first = next(c for c in ints if c != 0)
     if first < 0:

@@ -25,7 +25,7 @@ from .signed_sets import GroundSet, SignedSubset, _Frozen, bits, indices, mask_o
 
 FOUR_P_CAP_DEFAULT = 10
 CE_CAP_DEFAULT = 10
-FA_CAP_DEFAULT = 8
+FA_CAP_DEFAULT = 10
 
 
 # ---------------------------------------------------------------------------
@@ -697,8 +697,9 @@ def _block_suffix(k: int) -> tuple[tuple[int, int, int, int], ...]:
     return tuple(suffix)
 
 
-def _exhaustive_paintings(n: int):
-    """Batches (planes, full, colors_of) over all 4^n paintings in product order.
+@functools.cache
+def _exhaustive_paintings(n: int) -> tuple:
+    """Batches (planes, full, colors_of) over all 4^n paintings in product order.  A constant of n.
 
     Each block fixes a prefix of the first n - k colors in
     ``itertools.product`` order and paints the last k elements every way, so
@@ -708,9 +709,12 @@ def _exhaustive_paintings(n: int):
     full = (1 << 4**k) - 1
     digits = range(k - 1, -1, -1)
     constant = [(full, 0, 0, 0), (0, full, 0, 0), (0, 0, full, 0), (0, 0, 0, full)]
-    for prefix in itertools.product(range(4), repeat=n - k):
-        planes = [constant[col] for col in prefix] + [*_block_suffix(k)]
-        yield planes, full, lambda j, prefix=prefix: prefix + tuple((j >> 2 * q) & 3 for q in digits)
+
+    def block(prefix: tuple[int, ...]):
+        planes = (*(constant[col] for col in prefix), *_block_suffix(k))
+        return planes, full, lambda j: prefix + tuple((j >> 2 * q) & 3 for q in digits)
+
+    return tuple(map(block, itertools.product(range(4), repeat=n - k)))
 
 
 def _sampled_paintings(n: int, sample: int, paint):
@@ -901,36 +905,112 @@ def _live_planes(masks: list[int], inside: _Inside) -> list[int]:
     return out
 
 
-def _fa_batch(batch):
-    """A painting batch (planes, full, colors_of) with the :class:`_Inside` memos of its
-    contract (color 2) and delete (color 3) planes appended."""
-    planes, full, _ = batch
-    return (*batch, tuple(_Inside([col[color] for col in planes], full) for color in (2, 3)))
+@functools.cache
+def _subset_inside(n: int, f: int) -> _Inside:
+    """The :class:`_Inside` memo over the 2^k sets of an exhaustive block whose prefix set is f.
+
+    Position i is f plus element n - 1 - q for each bit q of i.  A constant of n and f.
+    """
+    k = min(n, _BLOCK_ELEMENTS)
+    full = (1 << 2**k) - 1
+    # element n - 1 - q is in the sets of bit q: runs of 2^q positions without and with it
+    suffix = [full // ((1 << 2 ** (q + 1)) - 1) * ((1 << 2**q) - 1) << 2**q for q in range(k - 1, -1, -1)]
+    return _Inside([full * (f >> e & 1) for e in range(n - k)] + suffix, full)
 
 
 @functools.cache
-def _single_block(n: int):
-    """The (FA) batch of the one exhaustive block of an n <= 8 element ground set.  A constant of n."""
-    return _fa_batch(next(_exhaustive_paintings(n)))
+def _spread_keys(k: int, color: int) -> bytes:
+    """Per byte m of a 4^k-painting plane, the key 2 S + h of its paintings 8m .. 8m + 7.
+
+    They share the base-4 digits q >= 2, and S has bit q - 2 where such a
+    digit equals ``color``; h is the high bit of digit 1.
+    """
+    keys = b"\0\1"[: 4**k + 7 >> 3]
+    for q in range(2, k):  # prepend digit q: four copies, the color's with bit q - 1 set
+        keys = keys * color + keys.translate(bytes(x | 1 << q - 1 for x in range(256))) + keys * (3 - color)
+    return keys
+
+
+@functools.cache
+def _spread_bytes(color: int) -> tuple[bytes, ...]:
+    """Per key offset 2 half + h, the painting byte given by each byte of a liveness table.
+
+    Painting 8m + low of key 2 S + h reads table bit 4 S + b, where b has bit 0
+    when digit 0 (low & 3) equals ``color`` and bit 1 when digit 1 (low >> 2 | 2 h)
+    does: one nibble of the table, half ``S & 1`` of its byte ``S >> 1``.
+    """
+    out = []
+    for half, h in itertools.product((0, 1), repeat=2):
+        reads = [0] * 4  # per table bit b, the paintings low that read it
+        for low in range(8):
+            reads[(low & 3 == color) | (low >> 2 | h << 1 == color) << 1] |= 1 << low
+        nibbles = [sum(r for b, r in enumerate(reads) if v >> b & 1) for v in range(16)]
+        out.append(bytes(nibbles[v >> 4 * half & 15] for v in range(256)))
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=1 << 10)
+def _spread(table: int, k: int, color: int) -> int:
+    """A 2^k-bit liveness table read at a block's 4^k paintings.
+
+    Bit j of the result is bit S of ``table``, S having bit q where digit q
+    of j equals ``color``: ``_spread_keys`` translated through a lookup built
+    from the table.  Memoised, as the minors of a sweep repeat few tables.
+    """
+    size = 2**k + 7 >> 3
+    table_bytes = table.to_bytes(size, "little")
+    lookup = bytearray(256)
+    for offset, part in enumerate(_spread_bytes(color)):
+        lookup[offset : 4 * size : 4] = table_bytes.translate(part)
+    plane = int.from_bytes(_spread_keys(k, color).translate(lookup), "little")
+    return plane if k > 1 else plane & (1 << 4**k) - 1  # n <= 1: part of one byte
+
+
+def _fa_blocks(n: int, circ_pairs, cocirc_pairs) -> list:
+    """The exhaustive (FA) batches: each block of ``_exhaustive_paintings`` with its members per side.
+
+    A member is live where the contracted set (color 2; for cocircuits the
+    deleted set, color 3) leaves it a circuit, so its liveness depends on
+    that set alone, which a block's prefix fixes on the first n - k elements.
+    ``_live_planes`` therefore runs on the 2^k suffix subsets, once per
+    distinct prefix set and side, and ``_spread`` reads each member's table
+    at the block's 4^k paintings.  Members are (pos, neg, support, live).
+    """
+    k = min(n, _BLOCK_ELEMENTS)
+    memo: dict[tuple[int, int], list[tuple[int, int, int, int]]] = {}
+    out = []
+    for planes, full, colors_of in _exhaustive_paintings(n):
+        sides = []
+        for reps, color in ((circ_pairs, 2), (cocirc_pairs, 3)):
+            f = 0  # the prefix elements painted the color, whose planes are full
+            for e in range(n - k):
+                f |= (planes[e][color] & 1) << e
+            got = memo.get((color, f))
+            if got is None:
+                tables = _live_planes([s for *_, s in reps], _subset_inside(n, f))
+                got = memo[color, f] = [(*x, _spread(t, k, color)) for x, t in zip(reps, tables)]
+            sides.append(got)
+        out.append((planes, full, colors_of, sides))
+    return out
 
 
 def _fa_members(circ_pairs, cocirc_pairs, batch, matroids):
-    """An (FA) batch's members per side, (pos, neg, support, live) for ``_paint_bad``.
+    """A sampled (FA) batch's members per side, (pos, neg, support, live) for ``_paint_bad``.
 
-    A circuit is live where its support minus the contracted set (color 2) is
-    a circuit of the contraction; cocircuits read the deleted set (color 3).
-    ``_live_planes`` decides both from the batch's own memos of that color's
-    planes, at a cost quadratic in the members.  A batch with fewer
-    paintings than a side has members decides each painting's set from the
-    contraction memo of that side's matroid in ``matroids`` instead.
+    Liveness reads the contracted set (color 2) for circuits and the deleted
+    set (color 3) for cocircuits, as in ``_fa_blocks``.  ``_live_planes``
+    decides it from memos of the batch's own planes of that color, at a cost
+    quadratic in the members.  A batch with fewer paintings than a side has
+    members decides each painting's set from the contraction memo of that
+    side's matroid in ``matroids`` instead.
     """
-    _, full, colors_of, insides = batch
+    planes, full, colors_of = batch
     count = full.bit_length()
 
-    def members(reps, color, matroid, inside):
+    def members(reps, color, matroid):
         supports = [s for *_, s in reps]
         if count >= len(reps):
-            live = _live_planes(supports, inside)
+            live = _live_planes(supports, _Inside([col[color] for col in planes], full))
         else:
             live = [0] * len(reps)
             for j in range(count):
@@ -941,7 +1021,7 @@ def _fa_members(circ_pairs, cocirc_pairs, batch, matroids):
                         live[i] |= 1 << j
         return [(*x, alive) for x, alive in zip(reps, live)]
 
-    return members(circ_pairs, 2, matroids[0], insides[0]), members(cocirc_pairs, 3, matroids[1], insides[1])
+    return members(circ_pairs, 2, matroids[0]), members(cocirc_pairs, 3, matroids[1])
 
 
 def _fa_first(bad: int, planes: list[tuple[int, int, int, int]]) -> int:
@@ -962,9 +1042,10 @@ def check_FA(
     Runs the (4P) kernel with the colors read as keep, keep reversed,
     contract and delete, so each painting is one minor/reorientation pair.
     A signed circuit counts where its support avoids the deleted set and
-    stays a circuit after contracting f; ``_fa_members`` decides that per
-    batch of paintings, from the batch's own planes.  Cocircuits swap
-    contraction and deletion.
+    stays a circuit after contracting f; ``_fa_blocks`` decides that once
+    per contracted set and spreads it over an exhaustive block, and
+    ``_fa_members`` per sampled batch.  Cocircuits swap contraction and
+    deletion.
     The witness is the first failing pair in (FA) order: the minor in product
     order (keep < contract < delete, element 0 first), then the reorientation
     mask as an integer.  A sample draws ``randrange(3)`` per element, then
@@ -989,14 +1070,15 @@ def check_FA(
             states = [rng.randrange(3) for _ in range(n)]
             return [s + 1 if s else rng.randrange(2) for s in states]  # keep: 0, or 1 when reversed
 
-        return (([_fa_batch(batch)], False) for batch in _sampled_paintings(n, sample, paint))
+        for batch in _sampled_paintings(n, sample, paint):
+            yield [(*batch, _fa_members(circ_pairs, cocirc_pairs, batch, matroids))], False
 
     def first_bad(batch) -> FAViolation | None:
         batches, ordered = batch
         found = []
         for paintings in batches:
-            planes, _, colors_of, _ = paintings
-            bad, us, ut = _paint_bad(*_fa_members(circ_pairs, cocirc_pairs, paintings, matroids), planes)
+            planes, _, colors_of, members = paintings
+            bad, us, ut = _paint_bad(*members, planes)
             any_bad = functools.reduce(int.__or__, bad, 0)
             if any_bad:
                 j = _fa_first(any_bad, planes) if ordered else (any_bad & -any_bad).bit_length() - 1
@@ -1011,7 +1093,7 @@ def check_FA(
     verdict = _exhaust_or_sample(
         "FA", "minor/reorientation pairs", n, cap, sample, seed,
         # one batch: the (FA)-order first witness may lie in any block
-        lambda: [((_single_block(n),) if n <= _BLOCK_ELEMENTS else map(_fa_batch, _exhaustive_paintings(n)), True)],
+        lambda: [(_fa_blocks(n, circ_pairs, cocirc_pairs), True)],
         sampled, first_bad,
     )
     if memoised:

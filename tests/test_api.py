@@ -52,9 +52,8 @@ SIGNATURES = {
     digraphs.Digraph.of: "(vertices, arcs)",
     signed_sets.GroundSet.range: "(n)",
     oriented.fa_gap_witness: "(pair)",
-    oriented.check_FA: "(pair, *, cap=8, sample=None, seed=0)",
-    oriented._fa_batch: "(batch)",
-    oriented._single_block: "(n)",
+    oriented.check_FA: "(pair, *, cap=10, sample=None, seed=0)",
+    oriented._fa_blocks: "(n, circ_pairs, cocirc_pairs)",
     oriented._fa_members: "(circ_pairs, cocirc_pairs, batch, matroids)",
     oriented._live_planes: "(masks, inside)",
     lines.u3_signature: "(q, *, negative_points=False)",

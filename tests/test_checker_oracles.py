@@ -36,11 +36,12 @@ from omlab.oriented import (
     FA_CAP_DEFAULT,
     FOUR_P_CAP_DEFAULT,
     _exhaustive_paintings,
-    _fa_batch,
+    _fa_blocks,
     _fa_members,
     _Inside,
     _live_planes,
     _sampled_paintings,
+    _spread,
     CEViolation,
     CircuitSignature,
     EliminationInstance,
@@ -1059,10 +1060,47 @@ def random_paving_matroid(n: int, rng: random.Random) -> Matroid:
     return got
 
 
+# -- exhaustive (FA) liveness against the per-block path
+#
+# The oracle runs ``_live_planes`` on each block's own 4^k-bit contract (delete)
+# planes.  ``_fa_blocks`` runs it once per contracted (deleted) set of a block's
+# prefix and spreads each member's table over the block; every block's members
+# must agree.
+
+
+def replaced_block_members(n: int, circ_pairs, cocirc_pairs) -> list:
+    """Per exhaustive block, its members per side from ``_live_planes`` on the block's own planes."""
+    out = []
+    for planes, full, _ in _exhaustive_paintings(n):
+        sides = []
+        for reps, color in ((circ_pairs, 2), (cocirc_pairs, 3)):
+            live = _live_planes([s for *_, s in reps], _Inside([col[color] for col in planes], full))
+            sides.append([(*x, alive) for x, alive in zip(reps, live)])
+        out.append(sides)
+    return out
+
+
+def assert_blocks_match_replaced_path(n: int, circ_pairs, cocirc_pairs) -> list:
+    blocks = _fa_blocks(n, circ_pairs, cocirc_pairs)
+    assert [block[:3] for block in blocks] == list(_exhaustive_paintings(n))
+    assert [list(block[3]) for block in blocks] == replaced_block_members(n, circ_pairs, cocirc_pairs), n
+    return blocks
+
+
+def test_spread_reads_each_painting_at_its_set():
+    # bit j of the spread is the table's bit at the set of j's base-4 digits equal to the color
+    rng = random.Random(5)
+    for k in range(6):
+        for color in (2, 3):
+            for table in [0, (1 << 2**k) - 1] + [rng.getrandbits(2**k) for _ in range(6)]:
+                digit_sets = [mask_of(q for q in range(k) if j >> 2 * q & 3 == color) for j in range(4**k)]
+                assert _spread(table, k, color) == mask_of(j for j, f in enumerate(digit_sets) if table >> f & 1)
+
+
 @pytest.mark.parametrize("case", ["alt9", "paving9"])
 def test_fa_members_liveness_matches_contraction_in_every_block(case):
-    # each block's live bits come from that block's own planes, so where its
-    # prefix contracts or deletes element 0 the members must see it
+    # each block's live bits come from its own prefix's contracted (deleted) set, so
+    # where the prefix contracts or deletes element 0 the members must see it
     rng = random.Random(7)
     if case == "alt9":
         pair = alternating_rank2(9)
@@ -1072,9 +1110,7 @@ def test_fa_members_liveness_matches_contraction_in_every_block(case):
         m = random_paving_matroid(9, rng)  # (FA) liveness ignores signs: any signing serves
         circ_pairs, cocirc_pairs = ([(s, 0, s) for s in side.circuit_masks] for side in (m, m.dual()))
     prefixes = []
-    for batch in map(_fa_batch, _exhaustive_paintings(9)):
-        _, full, colors_of, _ = batch
-        circ, cocirc = _fa_members(circ_pairs, cocirc_pairs, batch, (m, m.dual()))
+    for _, full, colors_of, (circ, cocirc) in assert_blocks_match_replaced_path(9, circ_pairs, cocirc_pairs):
         assert [x[:3] for x in circ] == circ_pairs and [x[:3] for x in cocirc] == cocirc_pairs
         for j in rng.sample(range(full.bit_length()), 300):
             colors = colors_of(j)
@@ -1085,6 +1121,35 @@ def test_fa_members_liveness_matches_contraction_in_every_block(case):
                 assert [live >> j & 1 for *_, live in members] == want, (j, f)
         prefixes.append(colors_of(0)[0])
     assert prefixes == [0, 1, 2, 3]  # element 0 kept, reversed, contracted, deleted
+
+
+def test_fa_blocks_match_replaced_path_on_pool_and_its_minors(instance_pool, pool_minors):
+    # the pool's pairs (n <= 7) and their 3^n minors (n <= 6), down to the
+    # single painting of n = 0 and the four of n = 1; one comparison per content
+    pairs = [inst.pair for inst in instance_pool]
+    pairs += [entry.induced for entry in pool_minors if isinstance(entry.induced, SignaturePair)]
+    seen = set()
+    for pair in pairs:
+        n, circ_pairs, cocirc_pairs = pair.ground.size, pair.circuit_sig.pair_masks(), pair.cocircuit_sig.pair_masks()
+        key = n, tuple(circ_pairs), tuple(cocirc_pairs)
+        if key not in seen:
+            seen.add(key)
+            assert_blocks_match_replaced_path(n, circ_pairs, cocirc_pairs)
+    assert {n for n, *_ in seen} == set(range(8))
+
+
+def test_fa_blocks_match_replaced_path_on_random_clutters():
+    for seed in range(300):
+        ground, masks = random_clutter(random.Random(seed))
+        members = [(s, 0, s) for s in masks]
+        assert_blocks_match_replaced_path(ground.size, members, members[::-1])
+
+
+def test_fa_blocks_match_replaced_path_on_a_corrupted_alt10():
+    # sixteen blocks, four prefix sets per side: blocks share the tables of their set
+    mutant = corrupt_pair(alternating_rank2(10), random.Random(10))
+    blocks = assert_blocks_match_replaced_path(10, mutant.circuit_sig.pair_masks(), mutant.cocircuit_sig.pair_masks())
+    assert len(blocks) == 16 and len({id(side) for block in blocks for side in block[3]}) == 8
 
 
 def test_fa_matches_scalar_on_alt9():
@@ -1433,9 +1498,11 @@ def test_fa_members_per_draw_liveness_matches_planes(sample):
     per_draw = 0
     for circ, cocirc, m, dual in cases:
         n = m.ground.size
-        for batch in map(_fa_batch, _sampled_paintings(n, sample, lambda: [rng.randrange(4) for _ in range(n)])):
+        for batch in _sampled_paintings(n, sample, lambda: [rng.randrange(4) for _ in range(n)]):
+            planes, full, _ = batch
+            insides = (_Inside([col[color] for col in planes], full) for color in (2, 3))
             want = [[(*x, live) for x, live in zip(reps, _live_planes([s for *_, s in reps], inside))]
-                    for reps, inside in zip((circ, cocirc), batch[3])]
+                    for reps, inside in zip((circ, cocirc), insides)]
             assert list(_fa_members(circ, cocirc, batch, (m, dual))) == want, (m, sample)
             per_draw += sample < max(len(circ), len(cocirc))
     assert per_draw

@@ -518,7 +518,7 @@ def test_usage_error_exit_code(capsys):
 
 def test_cli_start_up_loads_no_dataclasses_inspect_or_fractions(alt5_file, tmp_path):
     """A fresh interpreter runs ``check`` without importing ``dataclasses``, ``inspect`` or
-    ``fractions``; ``gen neat-prefix`` imports ``fractions`` on first use and still works."""
+    ``fractions``; ``gen neat-prefix`` works on integer vectors and does not import ``fractions`` either."""
     out = tmp_path / "neat8.om"
     probe = (
         "import sys\n"
@@ -530,5 +530,33 @@ def test_cli_start_up_loads_no_dataclasses_inspect_or_fractions(alt5_file, tmp_p
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(omlab.__file__))}
     run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines()[-2:] == ["0 []", "0 True"]
+    assert run.stdout.splitlines()[-2:] == ["0 []", "0 False"]
     assert out.read_text() == emit_oriented(u3_signature(neat_prefix(8, 0)))
+
+
+def test_cli_builds_fa_tables_only_on_the_first_fa_call(alt5_file):
+    """(FA)'s liveness tables, spread lookups and key strings are built lazily: importing
+    ``omlab.cli`` and running other checks builds none of them."""
+    probe = (
+        "from omlab import cli, oriented\n"
+        "tables = [oriented._subset_inside, oriented._spread_keys, oriented._spread_bytes, oriented._spread]\n"
+        f"code = cli.main(['check', {alt5_file!r}, '--which', 'O,CE'])\n"
+        "print('built:', code, [t.cache_info().currsize for t in tables])\n"
+        f"code = cli.main(['check', {alt5_file!r}, '--which', 'FA'])\n"
+        "print('built:', code, all(t.cache_info().currsize for t in tables))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(omlab.__file__))}
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert [ln for ln in run.stdout.splitlines() if ln.startswith("built:")] == ["built: 0 [0, 0, 0, 0]", "built: 0 True"]
+
+
+def test_fa_cap_boundary_exit_codes(tmp_path, capsys):
+    # the default (FA) cap is 10: alt-10 gets a verdict, alt-11 needs sampling
+    for n in (10, 11):
+        (tmp_path / f"alt{n}.om").write_text(emit_oriented(alternating_rank2(n)))
+    code, out, _ = run(capsys, "check", str(tmp_path / "alt10.om"), "--which", "FA")
+    assert code == 0 and "check FA: pass\n" in out
+    code, out, err = run(capsys, "check", str(tmp_path / "alt11.om"), "--which", "FA")
+    assert code == 2 and out == ""
+    assert "exhaustive (FA) needs ground size <= 10 (got 11); use sampling instead" in err

@@ -441,7 +441,7 @@ def test_fa_cap_comes_before_its_tables():
     # exhaustive alt-40 would run 4^32 blocks of 4^8 paintings: the cap refuses it first
     with pytest.raises(CapExceededError) as info:
         check_FA(alternating_rank2(40))
-    assert str(info.value) == "exhaustive (FA) needs ground size <= 8 (got 40); use sampling instead"
+    assert str(info.value) == "exhaustive (FA) needs ground size <= 10 (got 40); use sampling instead"
 
 
 def test_fa_memo_is_bypassed_by_sampling_and_the_cap():

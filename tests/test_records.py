@@ -206,7 +206,7 @@ def test_defaults():
     assert bool(v) and not Verdict(ok=False, detail="x") and Verdict(ok=False, detail="x").detail == "x"
     assert CheckEntry("O", True, "", 0.0).detail == ""
     caps = Caps()
-    assert (caps.four_p, caps.ce, caps.fa) == (10, 10, 8)
+    assert (caps.four_p, caps.ce, caps.fa) == (10, 10, 10)
     assert MinorSpec.of() == MinorSpec(frozenset(), frozenset())
     assert SignedSubset.zero(G) == SignedSubset(ground=G, pos=0, neg=0)
     assert CheckReport("s", [CheckEntry("O", True, "", 0.0)]).ok
