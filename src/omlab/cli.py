@@ -7,7 +7,6 @@ Exit codes: 0 = all checks pass / operation succeeded, 1 = a check failed
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from typing import NamedTuple
@@ -44,27 +43,6 @@ class Caps(NamedTuple):
     four_p: int = FOUR_P_CAP_DEFAULT
     ce: int = CE_CAP_DEFAULT
     fa: int = FA_CAP_DEFAULT
-
-    @classmethod
-    def from_env(cls) -> "Caps":
-        caps = {}
-        raw = os.environ.get("OMLAB_CAPS", "")
-        for item in raw.split(","):
-            item = item.strip()
-            if not item:
-                continue
-            key, _, value = item.partition("=")
-            try:
-                n = int(value)
-            except ValueError:
-                raise FormatError(f"OMLAB_CAPS entry {item!r} is not name=int") from None
-            if n < 0:
-                raise FormatError(f"OMLAB_CAPS entry {item!r} is negative")
-            key = key.strip().lower()
-            if key not in ("4p", "ce", "fa"):
-                raise FormatError(f"OMLAB_CAPS names must be 4p, ce, fa (got {key!r})")
-            caps["four_p" if key == "4p" else key] = n
-        return cls(**caps)
 
 
 class CheckEntry(NamedTuple):
@@ -263,14 +241,14 @@ def _int_at_least(least: int):
 def build_parser() -> argparse.ArgumentParser:
     cap = _int_at_least(0)
     parser = argparse.ArgumentParser(prog="omlab", description=__doc__)
-    parser.add_argument("--cap-4p", type=cap, default=None, help="ground-size cap for exhaustive (4P)")
+    parser.add_argument("--cap-4p", type=cap, default=FOUR_P_CAP_DEFAULT, help="ground-size cap for exhaustive (4P)")
     parser.add_argument(
         "--trust-input",
         action="store_true",
         help="skip the circuit-axiom validation of parsed files (needed above the validation cap)",
     )
-    parser.add_argument("--cap-ce", type=cap, default=None, help="ground-size cap for exhaustive (CE)")
-    parser.add_argument("--cap-fa", type=cap, default=None, help="ground-size cap for exhaustive (FA)")
+    parser.add_argument("--cap-ce", type=cap, default=CE_CAP_DEFAULT, help="ground-size cap for exhaustive (CE)")
+    parser.add_argument("--cap-fa", type=cap, default=FA_CAP_DEFAULT, help="ground-size cap for exhaustive (FA)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="run axiom checkers on an oriented-matroid file")
@@ -331,9 +309,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        flags = {"four_p": args.cap_4p, "ce": args.cap_ce, "fa": args.cap_fa}
-        caps = Caps.from_env()._replace(**{k: v for k, v in flags.items() if v is not None})
-        return args.func(args, caps)
+        return args.func(args, Caps(args.cap_4p, args.cap_ce, args.cap_fa))
     except CapExceededError as exc:
         sys.stderr.write(
             f"cap exceeded: {exc}\n"

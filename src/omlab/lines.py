@@ -179,7 +179,7 @@ def u3_matroid(q: LineSet) -> Matroid:
     return Matroid._from_valid(ground, masks)
 
 
-def u3_signature(q: LineSet, *, negative_points: bool = False) -> SignaturePair:
+def u3_signature(q: LineSet) -> SignaturePair:
     """Oriented rank-3 uniform matroid realized by a free line set.
 
     Cocircuits carry the hemisphere signing; the circuit signature is the
@@ -192,10 +192,7 @@ def u3_signature(q: LineSet, *, negative_points: bool = False) -> SignaturePair:
     if w is not None:
         raise DomainError(f"line set is not free: lines {tuple(i + 1 for i in w)} are coplanar")
     m = u3_matroid(q)
-    reps = [
-        cocircuit_signing(q, a, b, negative_points=negative_points)
-        for a, b in itertools.combinations(range(len(q.lines)), 2)
-    ]
+    reps = [cocircuit_signing(q, a, b) for a, b in itertools.combinations(range(len(q.lines)), 2)]
     cosig = CircuitSignature.from_representatives(m.dual(), reps)
     derived = derive_cocircuit_signature(m.dual(), cosig)
     if isinstance(derived, DeriveFailure):

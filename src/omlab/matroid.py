@@ -63,17 +63,8 @@ class Matroid:
     contractions) are filled once and then only read.
     """
 
-    def __init__(self, ground: GroundSet, circuit_masks: Iterable[int], _validated: bool = False):
-        if not _validated:
-            raise DomainError("use validate_circuits() or Matroid.from_circuits()")
-        self._set(ground, _canonical(circuit_masks))
-
-    def _set(self, ground: GroundSet, masks: tuple[int, ...]) -> None:
-        self.ground = ground
-        self.circuit_masks = masks
-        self._rank_cache: dict[int, int] = {}
-        self._dual: "Matroid | None" = None
-        self._contractions: dict[int, tuple[int, ...]] = {}
+    def __init__(self, *args, **kwargs):
+        raise DomainError("use validate_circuits() or Matroid.from_circuits()")
 
     @classmethod
     def from_circuits(cls, ground: GroundSet, family: Iterable[Iterable[int]]) -> "Matroid":
@@ -84,13 +75,17 @@ class Matroid:
 
     @classmethod
     def _from_valid(cls, ground: GroundSet, masks: Iterable[int]) -> "Matroid":
-        return cls(ground, masks, _validated=True)
+        return cls._from_canonical(ground, _canonical(masks))
 
     @classmethod
     def _from_canonical(cls, ground: GroundSet, masks: tuple[int, ...]) -> "Matroid":
-        """Like :meth:`_from_valid` for masks already distinct and in canonical order."""
+        """A matroid from circuit masks already valid, distinct and in canonical order."""
         m = cls.__new__(cls)
-        m._set(ground, masks)
+        m.ground = ground
+        m.circuit_masks = masks
+        m._rank_cache = {}
+        m._dual = None
+        m._contractions = {}
         return m
 
     # -- identity ----------------------------------------------------------
@@ -145,6 +140,8 @@ class Matroid:
         Cocircuits are the complements of hyperplanes, and every hyperplane is
         the closure of an independent (r-1)-subset S.  An element e outside S
         lies in that closure exactly when some circuit C has C \\ S = {e}.
+        A trusted family that fails (C3) can give the empty set or nested sets
+        here, and is refused.
         """
         if self._dual is None:
             full = self.ground.full_mask
@@ -161,7 +158,15 @@ class Matroid:
                         closure |= rest
                 else:
                     hyperplanes.add(closure)
-            self._dual = Matroid._from_valid(self.ground, (full & ~h for h in hyperplanes))
+            masks = _canonical(full & ~h for h in hyperplanes)
+            nested = _first_nested(masks)
+            if masks[:1] == (0,) or nested is not None:
+                what = "the empty set" if masks[:1] == (0,) else " inside ".join(
+                    "{" + ",".join(self.ground.labels_of(m)) + "}"
+                    for m in sorted((masks[i] for i in nested), key=int.bit_count)
+                )
+                raise DomainError(f"the circuits fail (C3): their hyperplane dual has {what} among its cocircuits")
+            self._dual = Matroid._from_canonical(self.ground, masks)
             self._dual._dual = self
         return self._dual
 
@@ -182,28 +187,46 @@ class Matroid:
             got = self._contractions[f] = contraction_circuit_masks(self.circuit_masks, f)
         return got
 
+    def _minor(self, f: int, g: int, circuits, cocircuits) -> tuple["Matroid", list[list[tuple[int, int, int]]]]:
+        """The minor M/f\\g, built by the one rule every minor follows.
+
+        ``circuits`` are (c, pos) pairs for the circuits c of the contraction
+        by f, and ``cocircuits`` for the cocircuits c of the dual's
+        contraction by g, each in canonical order of c.  A circuit may come
+        with several signings pos; an unsigned one is its own.  Each side
+        drops the c that meet what it deletes, g for circuits and f for
+        cocircuits, and relabels the rest, which keeps them in canonical
+        order.  The circuits give the minor and the cocircuits its dual,
+        (M/f\\g)* = M*/g\\f, linked to it.  Returns the minor and per side the
+        relabelled (pos, neg, support) of each pair, in one pass per side.
+        """
+        ground, down = self.ground._without(f | g), relabel(f | g)
+        minors, sides = [], []
+        for pairs, delete in ((circuits, g), (cocircuits, f)):
+            masks, side = [], []
+            for c, p in pairs:
+                if not c & delete:
+                    s, p = down(c), down(p)
+                    if not masks or masks[-1] != s:
+                        masks.append(s)
+                    side.append((p, s & ~p, s))
+            minors.append(Matroid._from_canonical(ground, tuple(masks)))
+            sides.append(side)
+        n, dual = minors
+        n._dual, dual._dual = dual, n
+        return n, sides
+
     def minor_with_map(self, spec: MinorSpec) -> tuple["Matroid", tuple[int, ...]]:
         """Minor plus the kept old indices, in the order they become new indices.
 
-        The minor's circuits are the memoised contraction by f, minus those
-        meeting g, relabelled.  Relabelling keeps element order, so they stay
-        in canonical order.  When this matroid's dual is cached, the minor's
-        dual is built the same way, as (M/f\\g)* = M*\\f/g, and linked to it.
+        Built by :meth:`_minor` from the memoised contractions of this
+        matroid by f and of its dual by g, so the minor's dual is linked.
         """
         f = self.ground.check_mask(spec.contract_mask)
         g = self.ground.check_mask(spec.delete_mask)
         kept = tuple(i for i in range(self.ground.size) if not ((f | g) >> i) & 1)
-        new_ground, down = _minor_ground(self.ground, f | g)
-
-        def minor(m: Matroid, contract: int, delete: int) -> Matroid:
-            masks = tuple(down(c) for c in m._contraction(contract) if not c & delete)
-            return Matroid._from_canonical(new_ground, masks)
-
-        got = minor(self, f, g)
-        if self._dual is not None:
-            got._dual = minor(self._dual, g, f)
-            got._dual._dual = got
-        return got, kept
+        cs, us = self._contraction(f), self.dual()._contraction(g)
+        return self._minor(f, g, zip(cs, cs), zip(us, us))[0], kept
 
     def minor(self, spec: MinorSpec) -> "Matroid":
         return self.minor_with_map(spec)[0]
@@ -243,11 +266,6 @@ class Matroid:
             if c & eb and c & ~allowed == 0:
                 return indices(c)
         raise InvariantError("basis plus one element contains no circuit")
-
-
-def _minor_ground(ground: GroundSet, dropped: int) -> tuple[GroundSet, Callable[[int], int]]:
-    """A minor's ground set and :func:`relabel` map, built once per minor."""
-    return ground._without(dropped), relabel(dropped)
 
 
 def relabel(dropped: int) -> Callable[[int], int]:

@@ -18,9 +18,7 @@ from collections import deque
 from typing import Iterable, NamedTuple
 
 from .errors import CapExceededError, DomainError, GroundMismatchError, InvariantError, ValidationError
-from .matroid import (
-    Matroid, MinorSpec, _Cover, _elimination_scan, _first_bad_family, _first_nested, _Inside, _minor_ground, relabel,
-)
+from .matroid import Matroid, MinorSpec, _Cover, _elimination_scan, _first_bad_family, _first_nested, _Inside
 from .signed_sets import GroundSet, SignedSubset, _Frozen, bits, indices, mask_of
 
 FOUR_P_CAP_DEFAULT = 10
@@ -371,22 +369,16 @@ class DecomposeFailure(NamedTuple):
 
 
 def check_orthogonality(pair: SignaturePair) -> Verdict:
-    """(O): every signed circuit is orthogonal to every signed cocircuit."""
-    return _first_nonorthogonal(pair, lambda agree, disagree, common: common and not (agree and disagree))
+    """(O): every signed circuit is orthogonal to every signed cocircuit.
 
-
-def check_orthogonality_sep(pair: SignaturePair) -> Verdict:
-    """(O'): sep(C,U) nonempty iff sep(C,-U) nonempty, for all pairs."""
-    return _first_nonorthogonal(pair, lambda agree, disagree, common: bool(agree) != bool(disagree))
-
-
-def _first_nonorthogonal(pair: SignaturePair, bad) -> Verdict:
-    """The first pair of representatives C, U, circuits outermost, with ``bad(agree, disagree,
-    common)``: the masks where C and U have equal signs, opposite signs, and where both are nonzero."""
-    cocircuits = pair.cocircuit_sig.pair_masks()
-    for cp, cn, cs in pair.circuit_sig.pair_masks():
+    The witness is the first pair of representatives C, U, circuits
+    outermost, whose supports meet without an element of equal signs and
+    one of opposite signs.
+    """
+    cocircuits = pair.cocircuit_sig._pairs
+    for cp, cn, cs in pair.circuit_sig._pairs:
         for up, un, us in cocircuits:
-            if bad(cp & up | cn & un, cp & un | cn & up, cs & us):
+            if cs & us and not (cp & up | cn & un and cp & un | cn & up):
                 c, u = SignedSubset(pair.ground, cp, cn), SignedSubset(pair.ground, up, un)
                 return Verdict(False, OrthViolation(c, u))
     return Verdict(True)
@@ -449,7 +441,7 @@ def check_signature_uniqueness(
 
 
 def induced_signature(pair: SignaturePair, spec: MinorSpec) -> SignaturePair:
-    """The induced sets of mode ``"circuits"`` as a signature pair on the minor.
+    """The induced sets as a signature pair on the minor.
 
     Requires (O) implicitly: if two lifts of the same minor circuit restrict
     to non-opposite signings, the induction is ill-defined and an upstream
@@ -475,32 +467,17 @@ class InducedSets(NamedTuple):
     minor: Matroid
 
 
-def induced_sets(pair: SignaturePair, spec: MinorSpec, mode: str = "circuits") -> InducedSets:
+def induced_sets(pair: SignaturePair, spec: MinorSpec) -> InducedSets:
     """The sets of restricted signed subsets a minor inherits.
 
-    A side keeps the members whose support avoids what that side drops: the
-    deleted elements for circuits, the contracted ones for cocircuits.
-    ``mode`` selects the inherited family: ``"circuits"`` keeps restrictions
-    of signed (co)circuits whose restricted support is a (co)circuit of the
-    minor; ``"tilde"`` drops that support condition; ``"vectors"`` restricts
-    whole (co)vectors.  The latter two are experimental alternatives.
+    A side keeps the members whose support avoids what that side deletes,
+    g for circuits and f for cocircuits, and whose support, restricted to
+    the minor, is a (co)circuit of the minor.
     """
-    if mode not in ("circuits", "tilde", "vectors"):
-        raise DomainError(f"unknown induced-sets mode {mode!r}: expected 'circuits', 'tilde' or 'vectors'")
-    if mode == "circuits":
-        n, induced = _induced(pair, spec)
-        sides = [{(p, s) for p, _, s in side} for side in induced]
-    else:
-        f, g = spec.contract_mask, spec.delete_mask
-        n, _ = pair.matroid.minor_with_map(spec)
-        down = relabel(f | g)
-        sides = []
-        for sig, avoid in ((pair.circuit_sig, g), (pair.cocircuit_sig, f)):
-            members = [(x.pos, x.neg, x.support) for x in vectors(sig)] if mode == "vectors" else sig._pairs
-            sides.append({(down(p), down(s)) for p, _, s in members if not s & avoid})
+    n, sides = _induced(pair, spec)
 
-    def members(side: set[tuple[int, int]]) -> frozenset[SignedSubset]:
-        signed = (SignedSubset(n.ground, p, s & ~p) for p, s in side)
+    def members(side: list[tuple[int, int, int]]) -> frozenset[SignedSubset]:
+        signed = (SignedSubset(n.ground, p, m) for p, m, _ in side)
         return frozenset(y for x in signed for y in (x, -x))
 
     return InducedSets(*map(members, sides), n)
@@ -511,33 +488,17 @@ def _induced(pair: SignaturePair, spec: MinorSpec) -> tuple[Matroid, list[list[t
     distinct induced signing, positive on its least element, in canonical support order.
 
     Restriction commutes with negation, so one member of each opposite pair
-    stands for both.  A side reads the restriction memo of what it contracts,
-    f for circuits and g for cocircuits, and drops the (co)circuits meeting
-    what it deletes.  This is exact: a lift s of a minor circuit c, a signed
-    circuit with s \\ f = c, lies inside c | f, and f and g are disjoint, so
-    when c avoids g, s does too.  The surviving c, relabelled, are the
-    minor's circuits in canonical order; the cocircuit side gives its dual,
-    (M/f\\g)* = M*/g\\f.
+    stands for both.  :meth:`Matroid._minor` reads each side's restriction
+    memo, f for circuits and g for cocircuits, and drops the (co)circuits
+    meeting what that side deletes.  This is exact: a lift s of a minor
+    circuit c, a signed circuit with s \\ f = c, lies inside c | f, and f
+    and g are disjoint, so when c avoids g, s does too.
     """
     m = pair.matroid
     f = m.ground.check_mask(spec.contract_mask)
     g = m.ground.check_mask(spec.delete_mask)
-    ground, down = _minor_ground(m.ground, f | g)
-    minors, sides = [], []
-    for sig, contract, delete in ((pair.circuit_sig, f, g), (pair.cocircuit_sig, g, f)):
-        masks, side = [], []
-        memo = iter(sig._restricted(contract))
-        for c, p in zip(memo, memo):
-            if not c & delete:
-                s, p = down(c), down(p)
-                if not masks or masks[-1] != s:
-                    masks.append(s)
-                side.append((p, s & ~p, s))
-        minors.append(Matroid._from_canonical(ground, tuple(masks)))
-        sides.append(side)
-    n, dual = minors
-    n._dual, dual._dual = dual, n
-    return n, sides
+    c, u = iter(pair.circuit_sig._restricted(f)), iter(pair.cocircuit_sig._restricted(g))
+    return m._minor(f, g, zip(c, c), zip(u, u))
 
 
 # ---------------------------------------------------------------------------
@@ -866,7 +827,7 @@ def check_CE(
         family = {xi: SignedSubset(ground, d & full, d >> n) for xi, d in zip(x_combo, fam)}
         return CEViolation(EliminationInstance.of(c, family, (got & -got).bit_length() - 1))
 
-    # a trusted non-matroid's dual need not be a clutter, where weak elimination decides nothing
+    # supports built without validation need not be a clutter, where weak elimination decides nothing
     supports = [c.support for c in reps]
     exhaustive = functools.partial(
         _elimination_scan, supports, instance, lambda: _first_nested(supports) is None and cover.weak(against)

@@ -56,7 +56,7 @@ SIGNATURES = {
     oriented._fa_blocks: "(n, circ_pairs, cocirc_pairs)",
     oriented._fa_members: "(circ_pairs, cocirc_pairs, batch, matroids)",
     oriented._live_planes: "(masks, inside)",
-    lines.u3_signature: "(q, *, negative_points=False)",
+    lines.u3_signature: "(q)",
     cli._run_checks: "(pair, which, caps, sample, seed)",
 }
 

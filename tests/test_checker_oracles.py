@@ -50,6 +50,7 @@ from omlab.oriented import (
     FourPViolation,
     FPViolation,
     InducedSets,
+    OrthViolation,
     SignaturePair,
     Verdict,
     alternating_rank2,
@@ -78,6 +79,40 @@ def small_instances():
     for k in range(6):
         out.append((f"mutant-{k}", corrupt_pair(base[k % len(base)], rng)))
     return out
+
+
+# -- (O) and (O') on signed subsets: one pair of representatives at a time
+
+
+def first_nonorthogonal(pair: SignaturePair, bad) -> Verdict:
+    """The first pair of representatives C, U, circuits outermost, with ``bad(C, U)``."""
+    for c in pair.circuit_sig.representatives():
+        for u in pair.cocircuit_sig.representatives():
+            if bad(c, u):
+                return Verdict(False, OrthViolation(c, u))
+    return Verdict(True)
+
+
+def scalar_check_orthogonality(pair: SignaturePair) -> Verdict:
+    """(O) by :meth:`SignedSubset.orthogonal`."""
+    return first_nonorthogonal(pair, lambda c, u: not c.orthogonal(u))
+
+
+def check_orthogonality_sep(pair: SignaturePair) -> Verdict:
+    """(O'): sep(C, U) is nonempty iff sep(C, -U) is, for all pairs."""
+    return first_nonorthogonal(pair, lambda c, u: bool(c.sep_mask(u)) != bool(c.sep_mask(-u)))
+
+
+def test_orthogonality_witness_matches_scalar_on_pool(instance_pool, pool_minors):
+    # every pool pair, then every induced pool minor: the verdict and its first witness
+    pairs = [inst.pair for inst in instance_pool]
+    pairs += [entry.induced for entry in pool_minors if isinstance(entry.induced, SignaturePair)]
+    failing = 0
+    for pair in pairs:
+        got = check_orthogonality(pair)
+        assert got == scalar_check_orthogonality(pair), pair
+        failing += not got
+    assert failing
 
 
 # -- naive (CE) -----------------------------------------------------------------
@@ -1268,6 +1303,9 @@ def lift_induced_signature(pair: SignaturePair, spec: MinorSpec) -> SignaturePai
 
 
 def restrict_induced_sets(pair: SignaturePair, spec: MinorSpec, mode: str = "circuits") -> InducedSets:
+    """A minor's induced sets in three notions: ``"circuits"`` keeps the restrictions of signed
+    (co)circuits whose restricted support is a (co)circuit of the minor, as induced_sets does;
+    ``"tilde"`` drops that support condition; ``"vectors"`` restricts whole (co)vectors."""
     m = pair.matroid
     f_mask = m.ground.check_mask(spec.contract_mask)
     g_mask = m.ground.check_mask(spec.delete_mask)
@@ -1364,13 +1402,18 @@ def test_induced_signature_matches_lifts_with_loop_bridge_and_parallel_arcs(arcs
 
 @pytest.mark.parametrize("mode", ["circuits", "tilde", "vectors"])
 def test_induced_sets_match_restriction_on_small_instances(mode, monkeypatch):
-    # both sides rebuild a pair's (co)vectors on every minor; build them once
-    cached = functools.lru_cache(maxsize=None)(vectors)
-    monkeypatch.setattr(oriented, "vectors", cached)
+    # induced_sets keeps the circuits notion; the tilde and vectors notions live
+    # only here, in the oracle, and each side of those holds the circuits one
+    cached = functools.lru_cache(maxsize=None)(vectors)  # a pair's (co)vectors, built once
     monkeypatch.setitem(globals(), "vectors", cached)
     for name, pair in small_instances():
         for spec in minor_specs(pair.ground.size):
-            assert induced_sets(pair, spec, mode) == restrict_induced_sets(pair, spec, mode), (name, spec)
+            got, want = induced_sets(pair, spec), restrict_induced_sets(pair, spec, mode)
+            if mode == "circuits":
+                assert got == want, (name, spec)
+            else:
+                assert got.minor == want.minor, (name, spec)
+                assert got.circuits_side <= want.circuits_side and got.cocircuits_side <= want.cocircuits_side
 
 
 # -- memoised, packed minors: each fast path against a fresh construction
@@ -1514,8 +1557,8 @@ def test_fa_members_per_draw_liveness_matches_planes(sample):
 # to on the circuits of M/f, and a minor keeps those circuits that avoid the
 # deleted set.  Before, every minor walked all pairs, kept those avoiding the
 # deleted set whose restricted support is a circuit of the minor, and relabelled
-# them; that loop is the oracle here for induced_signature and
-# induced_sets(mode="circuits"), next to the lift search above.
+# them; that loop is the oracle here for induced_signature and induced_sets,
+# next to the lift search above.
 
 
 def loop_restrictions(pair: SignaturePair, spec: MinorSpec) -> tuple[Matroid, list[set[tuple[int, int]]]]:

@@ -316,20 +316,14 @@ def test_negative_cap_flag_usage_error(alt5_file, capsys, flag):
     assert out == "" and flag in err
 
 
-@pytest.mark.parametrize("env", ["4p=x", "zz=3", "ce=-1"])
-def test_bad_caps_env_parse_error(alt5_file, capsys, monkeypatch, env):
+@pytest.mark.parametrize("env", ["fa=3", "4p=x", "zz=3", "ce=-1"])
+def test_caps_env_is_not_read(alt5_file, capsys, monkeypatch, env):
+    # the cap flags are the only way to set a cap
     monkeypatch.setenv("OMLAB_CAPS", env)
-    code, out, err = run(capsys, "check", alt5_file, "--which", "O")
-    assert code == 2
-    assert out == "" and "OMLAB_CAPS" in err
-
-
-def test_caps_env_and_flag_priority(alt5_file, capsys, monkeypatch):
-    monkeypatch.setenv("OMLAB_CAPS", "fa=3")
-    code, _, err = run(capsys, "check", alt5_file, "--which", "FA")
-    assert code == 2
-    code, out, _ = run(capsys, "--cap-fa", "8", "check", alt5_file, "--which", "FA")
-    assert code == 0
+    code, out, err = run(capsys, "check", alt5_file, "--which", "FA")
+    assert (code, err) == (0, "") and "check FA: pass" in out
+    code, _, err = run(capsys, "--cap-fa", "3", "check", alt5_file, "--which", "FA")
+    assert code == 2 and err.startswith("cap exceeded: ")
 
 
 def test_gen_uniform_alt_fixture_rows(capsys):
@@ -503,6 +497,17 @@ def test_trust_input_skips_validation_cap(tmp_path, capsys):
     assert err.startswith("cap exceeded: (C3) validation needs ground size <= 12 (got 13); pass trusted=True to skip\n")
     code, out, _ = run(capsys, "--trust-input", "check", str(om), "--which", "O")
     assert code == 0
+
+
+def test_trusted_non_matroid_with_a_non_clutter_dual_is_refused(tmp_path, capsys):
+    # 145, 25, 3, 6 fails (C3); its hyperplane dual would list the empty set as a cocircuit
+    om = tmp_path / "bad.om"
+    om.write_text("1,2,3,4,5,6\n1,4,5\n2,5\n3\n6\n\n+00++0\n0+00+0\n00+000\n00000+\n\n+00000\n")
+    code, out, err = run(capsys, "--trust-input", "check", str(om))
+    assert (code, out) == (2, "")
+    assert err == "error: the circuits fail (C3): their hyperplane dual has the empty set among its cocircuits\n"
+    code, _, err = run(capsys, "check", str(om))
+    assert code == 2 and err.startswith("parse error: line 1: not a matroid: (C3) ")
 
 
 def test_gen_int_argument_validation(capsys):

@@ -127,6 +127,21 @@ def test_c3_cap_refusal_and_trusted_skip():
     assert parse_oriented(text, trusted=True) == alternating_rank2(13)
 
 
+@pytest.mark.parametrize(
+    "labels, family, shown",
+    [
+        ("123456", [[0, 3, 4], [1, 4], [2], [5]], "the empty set"),
+        ("12345", [[1, 3], [1, 4]], "{1} inside {1,3}"),
+    ],
+)
+def test_trusted_non_matroid_dual_that_is_no_clutter_is_refused(labels, family, shown):
+    # both families fail (C3); the hyperplane dual would not be a clutter
+    m = validate_circuits(GroundSet(tuple(labels)), family, trusted=True)
+    with pytest.raises(DomainError) as exc:
+        m.dual()
+    assert str(exc.value) == f"the circuits fail (C3): their hyperplane dual has {shown} among its cocircuits"
+
+
 def test_from_circuits_raises():
     with pytest.raises(ValidationError):
         Matroid.from_circuits(G3, [[0, 1], [0, 1, 2]])
