@@ -8,8 +8,9 @@ refuses ground sets larger than the fixed cap ``C3_CAP_DEFAULT``;
 
 from __future__ import annotations
 
+import functools
 import itertools
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import CapExceededError, DomainError, InvariantError, ValidationError
 from .signed_sets import GroundSet, _Frozen, _setattr, bits, indices, mask_of
@@ -196,20 +197,21 @@ class Matroid:
         with several signings pos; an unsigned one is its own.  Each side
         drops the c that meet what it deletes, g for circuits and f for
         cocircuits, and relabels the rest, which keeps them in canonical
-        order.  The circuits give the minor and the cocircuits its dual,
+        order; the labels and the relabelling come from memos per dropped set
+        f | g.  The circuits give the minor and the cocircuits its dual,
         (M/f\\g)* = M*/g\\f, linked to it.  Returns the minor and per side the
         relabelled (pos, neg, support) of each pair, in one pass per side.
         """
-        ground, down = self.ground._without(f | g), relabel(f | g)
+        ground, down = self.ground._without(f | g), _relabelled(f | g)
         minors, sides = [], []
         for pairs, delete in ((circuits, g), (cocircuits, f)):
             masks, side = [], []
-            for c, p in pairs:
-                if not c & delete:
-                    s, p = down(c), down(p)
-                    if not masks or masks[-1] != s:
-                        masks.append(s)
-                    side.append((p, s & ~p, s))
+            for pair in pairs:
+                if not pair[0] & delete:
+                    got = down[pair]
+                    if not masks or masks[-1] != got[2]:
+                        masks.append(got[2])
+                    side.append(got)
             minors.append(Matroid._from_canonical(ground, tuple(masks)))
             sides.append(side)
         n, dual = minors
@@ -268,29 +270,38 @@ class Matroid:
         raise InvariantError("basis plus one element contains no circuit")
 
 
-def relabel(dropped: int) -> Callable[[int], int]:
-    """Map a mask to the ground set with ``dropped`` removed, in kept order.
+class _Relabelled(dict):
+    """Per (support, positive part) pair asked so far, its packed (pos, neg, support) triple
+    moved to the ground set without ``dropped``, in kept order: one object per pair.
 
-    The bits of ``dropped`` are discarded and the bits above each one move
-    down to close its gap, so the j-th element outside ``dropped`` becomes
-    element j.
+    The bits of ``dropped`` are discarded and the bits above each one move down to close its
+    gap, so the j-th element outside ``dropped`` becomes element j.
     """
-    gaps = [((1 << i) - 1, -1 << i) for i in range(dropped.bit_length() - 1, -1, -1) if dropped >> i & 1]
 
-    def down(mask: int) -> int:
-        for low, high in gaps:
-            mask = mask & low | mask >> 1 & high
-        return mask
+    def __init__(self, dropped: int):
+        self.gaps = [((1 << i) - 1, -1 << i) for i in range(dropped.bit_length() - 1, -1, -1) if dropped >> i & 1]
 
-    return down
+    def __missing__(self, pair: tuple[int, int]) -> tuple[int, int, int]:
+        s, p = pair
+        for low, high in self.gaps:
+            s, p = s & low | s >> 1 & high, p & low | p >> 1 & high
+        got = self[pair] = p, s & ~p, s
+        return got
+
+
+# one table per dropped set, which 3^n minors share 2^n ways: shared by every matroid and bounded
+_relabelled = functools.lru_cache(maxsize=1 << 10)(_Relabelled)
 
 
 def contraction_circuit_masks(circuit_masks: Iterable[int], f: int) -> tuple[int, ...]:
     """Circuits after contracting ``f``: minimal nonempty sets C \\ f."""
-    cands = sorted({c & ~f for c in circuit_masks if c & ~f}, key=lambda m: m.bit_count())
+    cands = sorted({c & ~f for c in circuit_masks if c & ~f}, key=int.bit_count)
     out: list[int] = []
     for m in cands:
-        if all(o & ~m for o in out):
+        for o in out:
+            if not o & ~m:
+                break
+        else:
             out.append(m)
     return _canonical(out)
 

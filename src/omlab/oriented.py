@@ -72,12 +72,14 @@ class CircuitSignature:
         sig._set(matroid, pairs)
         return sig
 
+    # the signed members, built only when first asked for
+    _signed: frozenset[SignedSubset] | None = None
+    _reps: tuple[SignedSubset, ...] | None = None
+    _rep_by_support: dict[int, SignedSubset] | None = None
+
     def _set(self, matroid: Matroid, pairs: tuple[tuple[int, int, int], ...]) -> None:
         self.matroid = matroid
         self._pairs = pairs
-        self._signed: frozenset[SignedSubset] | None = None
-        self._reps: tuple[SignedSubset, ...] | None = None
-        self._rep_by_support: dict[int, SignedSubset] | None = None
         self._restriction_memo: dict[int, tuple[int, ...]] = {}
 
     def _restricted(self, f: int) -> tuple[int, ...]:
@@ -168,10 +170,16 @@ class SignaturePair:
             raise ValidationError("circuit signature does not belong to the matroid")
         if cocircuit_sig.matroid != matroid.dual():
             raise ValidationError("cocircuit signature does not belong to the dual matroid")
-        self.matroid = matroid
-        self.circuit_sig = circuit_sig
-        self.cocircuit_sig = cocircuit_sig
+        self.matroid, self.circuit_sig, self.cocircuit_sig = matroid, circuit_sig, cocircuit_sig
         self._fa_memo: dict[tuple, Verdict] = {}
+
+    @classmethod
+    def _trusted(cls, matroid: Matroid, circuit_sig, cocircuit_sig, fa_memo: dict) -> "SignaturePair":
+        """A pair whose signatures already belong to ``matroid`` and its linked dual, sharing the
+        (FA) memo ``fa_memo``.  Only the minor machinery builds these."""
+        pair = cls.__new__(cls)
+        pair.matroid, pair.circuit_sig, pair.cocircuit_sig, pair._fa_memo = matroid, circuit_sig, cocircuit_sig, fa_memo
+        return pair
 
     @property
     def ground(self) -> GroundSet:
@@ -456,9 +464,7 @@ def induced_signature(pair: SignaturePair, spec: MinorSpec) -> SignaturePair:
                 "induced signing depends on the choice of lift; the signature pair violates (O)"
             )
         sigs.append(CircuitSignature._trusted(matroid, tuple(side)))
-    minor = SignaturePair(n, *sigs)
-    minor._fa_memo = pair._fa_memo
-    return minor
+    return SignaturePair._trusted(n, *sigs, pair._fa_memo)
 
 
 class InducedSets(NamedTuple):
@@ -758,7 +764,9 @@ def check_CE(
     order, and the bit-sliced ``matroid._Cover`` tells which retained
     elements an admissible member covers, once ``matroid._elimination_scan``
     has found that weak elimination fails; a pass needs no family.  A sampled
-    draw is one instance with one drawn member per level and one retained f.
+    draw is one instance with one drawn member per level and one retained f;
+    a draw with no member for some level or no f is redrawn, until ``sample``
+    instances are tested or 20 draws per instance are spent.
     """
     ground = sig.ground
     n = ground.size
@@ -771,7 +779,7 @@ def check_CE(
     against = [
         ([d for d in packed if d >> (e + n) & 1], [d for d in packed if d >> e & 1]) for e in range(n)
     ]
-    tested = 0  # sampled draws with a nonempty range of f, as opposed to skipped ones
+    tested = 0  # sampled draws with a nonempty range of f, as opposed to redrawn ones
 
     def options(cm: int, x_combo: tuple[int, ...]) -> list[list[int]]:
         x = mask_of(x_combo)
@@ -789,7 +797,9 @@ def check_CE(
         nonlocal tested
         if not reps:
             return
-        for _ in range(sample):
+        for _ in range(20 * sample):
+            if tested == sample:
+                return
             c = reps[rng.randrange(len(reps))]
             support = list(bits(c.support))
             x_combo = tuple(sorted(rng.sample(support, rng.randrange(1, len(support) + 1))))
@@ -1012,15 +1022,15 @@ def check_FA(
     mask as an integer.  A sample draws ``randrange(3)`` per element, then
     ``randrange(2)`` per kept element, and reports the first failing draw.
     Exhaustive verdicts go in the memo shared by a root pair and every minor induced from it,
-    keyed by one flat tuple of n, the circuit count and each side's (pos, neg) masks: all the
-    kernel reads, and witnesses name elements by index.  Sampled and over-cap calls bypass it,
-    so a sweep over a pair's minors runs the kernel once per distinct minor.
+    keyed by n and both sides' packed (pos, neg, support) pairs: all the kernel reads, and
+    witnesses name elements by index.  Sampled and over-cap calls bypass it, so a sweep over a
+    pair's minors runs the kernel once per distinct minor.
     """
     n = pair.ground.size
     circ_pairs, cocirc_pairs = pair.circuit_sig._pairs, pair.cocircuit_sig._pairs
     memoised = sample is None and n <= cap
     if memoised:
-        memo_key = n, len(circ_pairs), *(x for side in (circ_pairs, cocirc_pairs) for p, m, _ in side for x in (p, m))
+        memo_key = n, circ_pairs, cocirc_pairs
         verdict = pair._fa_memo.get(memo_key)
         if verdict is not None:
             return verdict

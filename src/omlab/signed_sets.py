@@ -83,7 +83,8 @@ class GroundSet(_Frozen):
     """Ordered list of distinct element labels; iteration order is fixed.
 
     Validated: the labels are distinct.  The instance ``__dict__`` holds the
-    label index, built on the first :meth:`index` call.
+    label index, built on the first :meth:`index` call, and the labels of the
+    ground sets :meth:`_without` builds.
     """
 
     _fields = ("labels",)
@@ -100,10 +101,18 @@ class GroundSet(_Frozen):
         return hash((self.labels,))
 
     def _without(self, dropped: int) -> "GroundSet":
-        """The ground set minus the elements of mask ``dropped``; its labels need no distinctness check."""
+        """A new ground set minus the elements of mask ``dropped``; its labels need no distinctness
+        check and are memoised per ``dropped``."""
+        labels = self._kept.get(dropped)
+        if labels is None:
+            labels = self._kept[dropped] = tuple(x for i, x in enumerate(self.labels) if not dropped >> i & 1)
         ground = object.__new__(GroundSet)
-        _setattr(ground, "labels", tuple(x for i, x in enumerate(self.labels) if not dropped >> i & 1))
+        _setattr(ground, "labels", labels)
         return ground
+
+    @cached_property
+    def _kept(self) -> dict[int, tuple[str, ...]]:  # _without's labels, per dropped mask
+        return {}
 
     @cached_property
     def _index(self) -> dict[str, int]:  # built on the first index() call
@@ -131,7 +140,7 @@ class GroundSet(_Frozen):
     def check_mask(self, mask: int) -> int:
         if mask < 0:
             raise UnknownElementError(f"negative mask {mask} names no elements of the ground set")
-        if mask & ~self.full_mask:
+        if mask >> len(self.labels):
             raise UnknownElementError(f"element indices {sorted(bits(mask & ~self.full_mask))} outside ground set")
         return mask
 

@@ -8,8 +8,10 @@ ones where violations must be found.
 
 import contextlib
 import functools
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +30,6 @@ from omlab.matroid import (
     _canonical,
     _find_c3_violation,
     contraction_circuit_masks,
-    relabel,
     validate_circuits,
 )
 from omlab.oriented import (
@@ -332,12 +333,15 @@ def dfs_ce_family_for_union(cand, target_pos, target_neg):
 
 
 def scalar_check_ce_sampled(sig: CircuitSignature, trials: int, seed: int) -> tuple[Verdict, int]:
-    """The sampled (CE) scan with a per-member cover loop, and its admissible draws."""
+    """The sampled (CE) scan with a per-member cover loop, and its admissible draws: a draw
+    without an instance is redrawn, until ``trials`` are tested or 20 draws per trial are spent."""
     reps = sig.representatives()
     rng = random.Random(seed)
     members = sig.member_masks()
     tested = 0
-    for _ in range(trials):
+    for _ in range(20 * trials):
+        if tested == trials:
+            break
         c = reps[rng.randrange(len(reps))]
         support = list(bits(c.support))
         x_combo = tuple(sorted(rng.sample(support, rng.randrange(1, len(support) + 1))))
@@ -1564,8 +1568,12 @@ def test_fa_members_per_draw_liveness_matches_planes(sample):
 def loop_restrictions(pair: SignaturePair, spec: MinorSpec) -> tuple[Matroid, list[set[tuple[int, int]]]]:
     """The minor, and per side the (pos, support) of its induced pairs, positive on the least element."""
     f, g = spec.contract_mask, spec.delete_mask
-    n, _ = pair.matroid.minor_with_map(spec)
-    down = relabel(f | g)
+    n, kept = pair.matroid.minor_with_map(spec)
+    remap = {old: new for new, old in enumerate(kept)}
+
+    def down(mask: int) -> int:  # drops f and g
+        return mask_of(remap[i] for i in bits(mask) if i in remap)
+
     sides = []
     for sig, minor, avoid in ((pair.circuit_sig, n, g), (pair.cocircuit_sig, n.dual(), f)):
         circuits = frozenset(minor.circuit_masks)
@@ -1733,17 +1741,31 @@ def test_exactly_one_orthogonal_cocircuit_signature(pair):
 # -- the per-pair (FA) verdict memo --------------------------------------------------------
 
 
+def flat_fa_key(pair: SignaturePair) -> tuple:
+    """The (FA) memo key before it was nested: one flat tuple of n, the circuit count and both
+    sides' (pos, neg) masks."""
+    circ, cocirc = pair.circuit_sig._pairs, pair.cocircuit_sig._pairs
+    return pair.ground.size, len(circ), *(x for side in (circ, cocirc) for p, m, _ in side for x in (p, m))
+
+
 def assert_memo_matches_fresh_pairs(minors, label) -> tuple[int, int]:
     """check_FA on each (spec, induced pair), in sweep order, against check_FA on a fresh pair of
-    the same content, which has its own empty memo.  Returns the memo hits, and those that failed."""
+    the same content, which has its own empty memo; every memo hit is compared so.  The memo's
+    key, n with both sides' packed pairs, holds each verdict and must group the minors as the flat
+    key did.  Returns the memo hits, and those that failed."""
     hits = failing_hits = 0
+    flat_of, nested_of = {}, {}
     for spec, minor in minors:
+        nested, flat = (minor.ground.size, minor.circuit_sig._pairs, minor.cocircuit_sig._pairs), flat_fa_key(minor)
+        assert flat_of.setdefault(nested, flat) == flat and nested_of.setdefault(flat, nested) == nested, (label, spec)
         before = len(minor._fa_memo)
         got = check_FA(minor)
         assert got == check_FA(SignaturePair(minor.matroid, minor.circuit_sig, minor.cocircuit_sig)), (label, spec)
+        assert minor._fa_memo[nested] is got, (label, spec)
         hit = len(minor._fa_memo) == before
         hits += hit
         failing_hits += hit and not got.ok
+    assert len(flat_of) == len(nested_of)
     return hits, failing_hits
 
 
@@ -1767,3 +1789,48 @@ def test_fa_memo_matches_fresh_pairs_on_random_signings():
                 minors.append((spec, induced_signature(pair, spec)))
         failing_hits += assert_memo_matches_fresh_pairs(minors, k)[1]
     assert failing_hits > 100
+
+
+# -- the lifetimes and bounds of the minor caches
+
+
+def test_per_root_caches_die_with_the_root_and_its_minors():
+    # the (FA) memo, the restriction and contraction memos and the kept labels
+    # belong to the root; a probe stored in each dies only with its cache
+    class Probe:
+        pass
+
+    root = graphic_om(fig4_digraph())
+    minors = [induced_signature(root, spec) for spec in minor_specs(root.ground.size)]
+    for minor in minors:
+        check_FA(minor)
+    caches = [
+        root._fa_memo, root.ground._kept, root.matroid._contractions, root.matroid.dual()._contractions,
+        root.circuit_sig._restriction_memo, root.cocircuit_sig._restriction_memo,
+    ]
+    assert all(caches)
+    probes = [Probe() for _ in caches]
+    for cache, probe in zip(caches, probes):
+        cache[("probe",)] = probe
+    refs = [weakref.ref(x) for x in (root, root.ground, *probes)]
+    del root, minors, minor, caches, cache, probes, probe
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(refs)
+
+
+def test_relabel_cache_is_bounded_and_evictions_keep_minors_exact():
+    info = matroid._relabelled.cache_info()
+    assert isinstance(info.maxsize, int) and info.maxsize > 0
+    pairs = [alternating_rank2(5), graphic_om(fig4_digraph())]
+    pairs += [corrupt_pair(pair, random.Random(seed)) for seed, pair in enumerate(pairs * 2)]
+    raised = 0
+    for flood in range(2):  # first with the tables of the sweeps' dropped sets cached, then evicted
+        for label, pair in enumerate(pairs):
+            raised += assert_induced_signature_matches_lifts(pair, list(minor_specs(pair.ground.size)), (flood, label))
+        for d in range(info.maxsize):  # dropped sets no sweep asks for
+            matroid._relabelled(1 << 40 | d)
+        misses = matroid._relabelled.cache_info().misses
+        matroid._relabelled(0b101)
+        assert matroid._relabelled.cache_info().misses == misses + 1  # evicted
+        assert matroid._relabelled.cache_info().currsize == info.maxsize
+    assert raised

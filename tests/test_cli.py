@@ -289,6 +289,16 @@ def test_sampled_check_of_circuit_free_matroid(tmp_path, capsys):
     ) in out
 
 
+def test_sampled_ce_redraws_until_the_sample_is_tested(tmp_path, capsys):
+    # on neat-9 most draws have no instance (32 and 12 of the first 50 do);
+    # they are redrawn, so both sides test all 50 and share one detail
+    om = tmp_path / "neat9.om"
+    assert main(["gen", "neat-prefix", "9", "--seed", "1", "-o", str(om)]) == 0
+    code, out, _ = run(capsys, "check", str(om), "--which", "CE", "--sample", "50")
+    assert code == 0
+    assert "check CE: pass (sampled 50 instances, seed=0, 50 admissible tested)\n" in out
+
+
 def test_digraph_vertex_count_is_bounded(tmp_path, capsys, monkeypatch):
     # every vertex is named before any arc is read, so a huge count is refused
     # before any name is built
