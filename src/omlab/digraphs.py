@@ -148,6 +148,16 @@ def _bfs(adj: Sequence[Sequence[tuple[int, int]]], start: int) -> tuple[int, dic
     return reach, parents
 
 
+def _walk_back(parents: dict[int, tuple[int, int]], start: int, goal: int) -> list[int]:
+    """The arcs of the BFS path from ``start`` to ``goal`` in :func:`_bfs` ``parents``, from ``goal`` back."""
+    arcs = []
+    v = goal
+    while v != start:
+        a, v = parents[v]
+        arcs.append(a)
+    return arcs
+
+
 def bond_representatives(d: Digraph) -> list[SignedSubset]:
     """All minimal edge cuts, signed + for arcs leaving the anchored side."""
     ground = d.ground
@@ -226,12 +236,7 @@ def minty_certificate(d: Digraph, arc: str) -> FarkasCertificate:
     if forward & backward:
         if not forward >> tail & 1:
             raise InvariantError("arborescences meet but the tail is unreachable")
-        arcs_mask = 1 << a0
-        v = tail
-        while v != head:
-            a, u = parents[v]
-            arcs_mask |= 1 << a
-            v = u
+        arcs_mask = mask_of([a0, *_walk_back(parents, head, tail)])
         return FarkasCertificate(
             "directed-cycle",
             frozenset(ground.labels_of(arcs_mask)),
@@ -283,12 +288,6 @@ def _violated_bond(d: Digraph, vals: Sequence[int]) -> SignedSubset:
     raise InvariantError("conservation failed but every bond sums to zero")
 
 
-def cocircuit_sum(d: Digraph, bond: SignedSubset, flow: Mapping[str, int]) -> int:
-    """The signed sum of a flow over one signed cut; zero for genuine flows."""
-    vals = _flow_values(d, flow)
-    return sum(vals[i] for i in bits(bond.pos)) - sum(vals[i] for i in bits(bond.neg))
-
-
 def decompose_nonneg_flow(d: Digraph, flow: Mapping[str, int]) -> list[tuple[frozenset[str], int]]:
     """Peel a non-negative circulation into directed cycles with multiplicities.
 
@@ -322,13 +321,7 @@ def _directed_cycle_in(d: Digraph, support: Sequence[int]) -> list[int]:
         # a0 itself only leads back to start, so the search never takes it
         reach, parents = _bfs(succ, start)
         if reach >> goal & 1:
-            cycle = [a0]
-            v = goal
-            while v != start:
-                a, u = parents[v]
-                cycle.append(a)
-                v = u
-            return cycle
+            return [a0, *_walk_back(parents, start, goal)]
     raise InvariantError("positive circulation support contains no directed cycle")
 
 

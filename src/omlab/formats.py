@@ -2,7 +2,8 @@
 line sets, and certificates.
 
 Every emitter is deterministic (canonical object order, trailing newline), and
-``parse(emit(x))`` returns an equal object for each format.
+``parse(emit(x))`` returns an equal object for each format but the bare
+matroid, which is parsed only as the first block of an oriented matroid.
 """
 
 from __future__ import annotations
@@ -46,11 +47,6 @@ def _parse_matroid_block(block: list[tuple[int, str]], *, trusted: bool) -> Matr
     if isinstance(got, CircuitViolation):
         raise FormatError(f"not a matroid: {got}", block[0][0])
     return got
-
-
-def parse_matroid(text: str) -> Matroid:
-    block = [(i + 1, ln) for i, ln in enumerate(text.splitlines()) if ln.strip()]
-    return _parse_matroid_block(block, trusted=False)
 
 
 # -- oriented matroid ------------------------------------------------------------

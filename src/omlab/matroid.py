@@ -12,7 +12,7 @@ import functools
 import itertools
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import CapExceededError, DomainError, InvariantError, ValidationError
+from .errors import CapExceededError, DomainError, ValidationError
 from .signed_sets import GroundSet, _Frozen, _setattr, bits, indices, mask_of
 
 C3_CAP_DEFAULT = 12
@@ -60,7 +60,7 @@ def _canonical(masks: Iterable[int]) -> tuple[int, ...]:
 class Matroid:
     """A finite matroid on a :class:`GroundSet`, stored by its circuit masks.
 
-    Instances are immutable after construction; lazy caches (dual, ranks,
+    Instances are immutable after construction; lazy caches (dual,
     contractions) are filled once and then only read.
     """
 
@@ -84,7 +84,6 @@ class Matroid:
         m = cls.__new__(cls)
         m.ground = ground
         m.circuit_masks = masks
-        m._rank_cache = {}
         m._dual = None
         m._contractions = {}
         return m
@@ -119,9 +118,6 @@ class Matroid:
     def rank(self, a: int | Iterable[int] | None = None) -> int:
         m = self.ground.full_mask if a is None else (a if isinstance(a, int) else mask_of(a))
         self.ground.check_mask(m)
-        hit = self._rank_cache.get(m)
-        if hit is not None:
-            return hit
         r = 0
         ind = 0
         circuits = self.circuit_masks
@@ -130,7 +126,6 @@ class Matroid:
             if all(c & ~cand for c in circuits):
                 ind = cand
                 r += 1
-        self._rank_cache[m] = r
         return r
 
     # -- duality -------------------------------------------------------------
@@ -229,45 +224,6 @@ class Matroid:
         kept = tuple(i for i in range(self.ground.size) if not ((f | g) >> i) & 1)
         cs, us = self._contraction(f), self.dual()._contraction(g)
         return self._minor(f, g, zip(cs, cs), zip(us, us))[0], kept
-
-    def minor(self, spec: MinorSpec) -> "Matroid":
-        return self.minor_with_map(spec)[0]
-
-    # -- circuit/cocircuit structure -------------------------------------------
-
-    def is_scrawl(self, v: int | Iterable[int]) -> bool:
-        """True iff ``v`` never meets a cocircuit exactly once (= union of circuits)."""
-        m = v if isinstance(v, int) else mask_of(v)
-        self.ground.check_mask(m)
-        return all((m & u).bit_count() != 1 for u in self.cocircuit_masks)
-
-    def cocircuit_through_pair(self, circuit: int | Iterable[int], e: int, f: int) -> frozenset[int]:
-        """The least cocircuit U with circuit ∩ U = {e, f}."""
-        c = circuit if isinstance(circuit, int) else mask_of(circuit)
-        if c not in self.circuit_masks:
-            raise DomainError("not a circuit of this matroid")
-        want = mask_of([e, f])
-        if e == f or c & want != want:
-            raise DomainError("need two distinct elements of the circuit")
-        for u in self.cocircuit_masks:
-            if c & u == want:
-                return indices(u)
-        raise InvariantError(f"no cocircuit meets the circuit exactly in {{{e},{f}}}")
-
-    def fundamental_circuit(self, basis: int | Iterable[int], e: int) -> frozenset[int]:
-        """The unique circuit inside basis ∪ {e} that contains e."""
-        b = basis if isinstance(basis, int) else mask_of(basis)
-        self.ground.check_mask(b)
-        eb = self.ground.check_mask(mask_of([e]))
-        if not (self.is_independent(b) and b.bit_count() == self.rank()):
-            raise DomainError("not a basis of this matroid")
-        if b & eb:
-            raise DomainError("element already in the basis")
-        allowed = b | eb
-        for c in self.circuit_masks:
-            if c & eb and c & ~allowed == 0:
-                return indices(c)
-        raise InvariantError("basis plus one element contains no circuit")
 
 
 class _Relabelled(dict):

@@ -144,9 +144,6 @@ class GroundSet(_Frozen):
             raise UnknownElementError(f"element indices {sorted(bits(mask & ~self.full_mask))} outside ground set")
         return mask
 
-    def mask_of_labels(self, labels: Iterable[str]) -> int:
-        return mask_of(self.index(x) for x in labels)
-
     def labels_of(self, mask: int) -> tuple[str, ...]:
         return tuple(self.labels[i] for i in bits(mask))
 
@@ -208,14 +205,6 @@ class SignedSubset(_Frozen):
     @property
     def support(self) -> int:
         return self.pos | self.neg
-
-    @property
-    def positive(self) -> frozenset[int]:
-        return indices(self.pos)
-
-    @property
-    def negative(self) -> frozenset[int]:
-        return indices(self.neg)
 
     def sign(self, i: int) -> int:
         b = self.ground.check_mask(mask_of([i]))
@@ -316,10 +305,3 @@ def compose(ground: GroundSet, items: Sequence[SignedSubset]) -> SignedSubset:
         pos |= x.pos & ~covered
         neg |= x.neg & ~covered
     return SignedSubset(ground, pos, neg)
-
-
-def compose_pair(x: SignedSubset, y: SignedSubset) -> SignedSubset:
-    """x then y: y writes only where x has no support."""
-    x._require_same_ground(y)
-    s = x.support
-    return SignedSubset(x.ground, x.pos | (y.pos & ~s), x.neg | (y.neg & ~s))

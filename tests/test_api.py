@@ -24,16 +24,15 @@ ALL = [
 ]
 
 ATTRIBUTES = {
-    "GroundSet": ["check_mask", "full_mask", "index", "labels", "labels_of", "mask_of_labels", "range", "size"],
+    "GroundSet": ["check_mask", "full_mask", "index", "labels", "labels_of", "range", "size"],
     "SignedSubset": [
-        "canonical_rep", "conforms_to", "from_string", "ground", "is_empty", "is_positive", "neg", "negative",
-        "orthogonal", "pos", "positive", "reorient", "restrict", "sep_mask", "separator", "sign", "sort_key",
+        "canonical_rep", "conforms_to", "from_string", "ground", "is_empty", "is_positive", "neg",
+        "orthogonal", "pos", "reorient", "restrict", "sep_mask", "separator", "sign", "sort_key",
         "support", "to_string", "zero",
     ],
     "Matroid": [
-        "circuit_masks", "circuits", "cocircuit_masks", "cocircuit_through_pair", "cocircuits", "dual",
-        "from_circuits", "fundamental_circuit", "ground", "is_independent", "is_scrawl", "minor",
-        "minor_with_map", "rank",
+        "circuit_masks", "circuits", "cocircuit_masks", "cocircuits", "dual",
+        "from_circuits", "ground", "is_independent", "minor_with_map", "rank",
     ],
     "CircuitSignature": [
         "by_support", "from_representatives", "ground", "matroid", "member_masks", "pair_masks", "reorient",
@@ -46,7 +45,6 @@ ATTRIBUTES = {
 SIGNATURES = {
     matroid.validate_circuits: "(ground, family, *, trusted=False)",
     matroid.Matroid.from_circuits: "(ground, family)",
-    formats.parse_matroid: "(text)",
     formats.parse_oriented: "(text, *, trusted=False)",
     formats._parse_matroid_block: "(block, *, trusted)",
     digraphs.Digraph.of: "(vertices, arcs)",

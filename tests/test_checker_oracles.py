@@ -702,7 +702,7 @@ def test_dual_matches_subset_scan_on_pool_minors(instance_pool, pool_minors):
     minors = {inst.pair.matroid for inst in instance_pool if inst.pair.ground.size > 6}
     for entry in pool_minors:
         induced = entry.induced
-        minors.add(entry.inst.pair.matroid.minor(entry.spec) if isinstance(induced, Exception) else induced.matroid)
+        minors.add(entry.inst.pair.matroid.minor_with_map(entry.spec)[0] if isinstance(induced, Exception) else induced.matroid)
     for m in minors:
         assert m.dual().circuit_masks == subset_scan_cocircuits(m), m
 
@@ -1475,17 +1475,17 @@ def assert_canonical_with_fresh_linked_dual(minors: list[Matroid], label) -> Non
 
 
 def test_minors_are_canonical_and_their_linked_duals_fresh(pool_minors):
-    # each distinct pool matroid's minors, built by minor() and by induced_signature
+    # each distinct pool matroid's minors, built by minor_with_map() and by induced_signature
     first = {}
     for entry in pool_minors:
         m = entry.inst.pair.matroid
         if first.setdefault(m, entry.inst) is entry.inst:
             induced = [] if isinstance(entry.induced, Exception) else [entry.induced.matroid]
-            assert_canonical_with_fresh_linked_dual([m.minor(entry.spec), *induced], (m, entry.spec))
+            assert_canonical_with_fresh_linked_dual([m.minor_with_map(entry.spec)[0], *induced], (m, entry.spec))
     for m in random_matroids(60):
         m.dual()  # cached, so every minor's dual is linked
         for spec in minor_specs(m.ground.size):
-            assert_canonical_with_fresh_linked_dual([m.minor(spec)], (m, spec))
+            assert_canonical_with_fresh_linked_dual([m.minor_with_map(spec)[0]], (m, spec))
 
 
 def assert_packed_signatures_match_eager(pair: SignaturePair, specs, label, induce=induced_signature) -> int:
@@ -1683,19 +1683,16 @@ def test_minor_ground_set_matches_a_validated_one():
     pair = graphic_om(fig4_digraph())
     labels = pair.ground.labels
     for spec in minor_specs(pair.ground.size):
-        for minor in (pair.matroid.minor(spec), induced_signature(pair, spec).matroid):
+        for minor in (pair.matroid.minor_with_map(spec)[0], induced_signature(pair, spec).matroid):
             ground = minor.ground
             fresh = GroundSet(ground.labels)
             assert ground == fresh and hash(ground) == hash(fresh) and fresh == ground
             assert ground.labels == tuple(x for i, x in enumerate(labels) if i not in spec.contract | spec.delete)
             assert "_index" not in vars(ground)
             assert [ground.index(x) for x in ground.labels] == list(range(ground.size))
-            assert ground.mask_of_labels(ground.labels) == ground.full_mask
             for x in (*(labels[i] for i in spec.contract | spec.delete), "nope"):
                 with pytest.raises(UnknownElementError):
                     ground.index(x)
-                with pytest.raises(UnknownElementError):
-                    ground.mask_of_labels([x])
     with pytest.raises(DomainError):
         GroundSet(("a", "b", "a"))
 

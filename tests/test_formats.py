@@ -14,7 +14,6 @@ from omlab.formats import (
     emit_oriented,
     parse_digraph,
     parse_lines,
-    parse_matroid,
     parse_oriented,
 )
 from omlab.lines import LineSet, neat_prefix
@@ -24,24 +23,27 @@ from omlab.signed_sets import GroundSet
 
 
 def test_matroid_roundtrip():
-    m = graphic_om(fig4_digraph()).matroid
-    assert parse_matroid(emit_matroid(m)) == m
+    pair = graphic_om(fig4_digraph())
+    text = emit_oriented(pair)
+    assert text.startswith(emit_matroid(pair.matroid) + "\n")
+    assert parse_oriented(text).matroid == pair.matroid
 
 
 def test_matroid_format_example():
     text = "a,b,c\na,b,c\n"
-    m = parse_matroid(text)
+    m = parse_oriented(text + "\n+-+\n\n++0\n+0-\n0++\n").matroid
     assert m.ground.labels == ("a", "b", "c")
     assert emit_matroid(m) == text
 
 
 def test_matroid_parse_errors():
-    with pytest.raises(FormatError):
-        parse_matroid("")
-    with pytest.raises(FormatError):
-        parse_matroid("a,b\na,z\n")
-    err = pytest.raises(FormatError, parse_matroid, "a,b,c\na,b\na,b,c\n")
-    assert "C2" in str(err.value)
+    # the matroid block of an oriented-matroid file, followed by two empty signed blocks
+    with pytest.raises(FormatError, match="^missing ground-set line$"):
+        parse_oriented("\n\n")
+    with pytest.raises(FormatError, match="^line 2: unknown element 'z'$"):
+        parse_oriented("a,b\na,z\n\n\n")
+    err = pytest.raises(FormatError, parse_oriented, "a,b,c\na,b\na,b,c\n\n\n")
+    assert "C2" in str(err.value) and err.value.line == 1
 
 
 def test_oriented_roundtrip():

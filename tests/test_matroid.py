@@ -194,7 +194,7 @@ def test_circuit_cocircuit_intersection_never_one():
 
 def test_contract_u24():
     m = u24()
-    n = m.minor(MinorSpec.of(contract=[3]))
+    n = m.minor_with_map(MinorSpec.of(contract=[3]))[0]
     assert sorted(sorted(c) for c in n.circuits) == [[0, 1], [0, 2], [1, 2]]
 
 
@@ -212,13 +212,13 @@ def test_contraction_matches_independence_oracle():
 
 def test_delete_only_minor_is_restriction():
     m = u24()
-    n = m.minor(MinorSpec.of(delete=[3]))
+    n = m.minor_with_map(MinorSpec.of(delete=[3]))[0]
     assert sorted(sorted(c) for c in n.circuits) == [[0, 1, 2]]
 
 
 def test_empty_spec_identity():
     m = u24()
-    assert m.minor(MinorSpec.of()) == m
+    assert m.minor_with_map(MinorSpec.of())[0] == m
 
 
 def test_overlapping_spec_rejected():
@@ -228,9 +228,10 @@ def test_overlapping_spec_rejected():
 
 def test_minor_commutation():
     m = graphic_om(fig4_digraph()).matroid
-    a = m.minor(MinorSpec.of(contract=[0])).minor(MinorSpec.of(delete=[3]))
+    a = m.minor_with_map(MinorSpec.of(contract=[0]))[0]
+    a = a.minor_with_map(MinorSpec.of(delete=[3]))[0]
     # indices shift after the first minor: element 4 of the original is index 3 there
-    b = m.minor(MinorSpec.of(contract=[0], delete=[4]))
+    b = m.minor_with_map(MinorSpec.of(contract=[0], delete=[4]))[0]
     assert a == b
 
 
@@ -250,84 +251,15 @@ def test_minor_circuits_lift():
 # -- scrawls -----------------------------------------------------------------------
 
 
-def test_is_scrawl():
-    m = graphic_triangle()
-    assert m.is_scrawl([0, 1, 2])
-    assert not m.is_scrawl([0, 1])
-    assert m.is_scrawl([])
-
-
 def test_scrawl_equals_union_of_circuits():
+    """A set meets no cocircuit of ``dual()`` in exactly one element (a scrawl) iff it is a union of circuits."""
     m = graphic_om(fig4_digraph()).matroid
     for v in range(1 << m.ground.size):
         union_of_circuits = all(
             any(c & ~v == 0 and c >> e & 1 for c in m.circuit_masks) for e in bits(v)
         )
-        assert m.is_scrawl(v) == union_of_circuits
-
-
-# -- circuit/cocircuit access ops -----------------------------------------------------
-
-
-def test_cocircuit_through_pair_u24():
-    m = u24()
-    got = m.cocircuit_through_pair([0, 1, 2], 0, 1)
-    # oracle: exhaustive over cocircuits
-    assert [u for u in m.cocircuits if u & {0, 1, 2} == {0, 1}] == [got]
-    assert got == frozenset({0, 1, 3})
-
-
-def test_cocircuit_through_pair_triangle():
-    m = graphic_triangle()
-    assert m.cocircuit_through_pair([0, 1, 2], 0, 2) == frozenset({0, 2})
-
-
-def test_cocircuit_through_pair_rank1():
-    ground = GroundSet.range(2)
-    m = Matroid.from_circuits(ground, [[0, 1]])
-    assert m.cocircuit_through_pair([0, 1], 0, 1) == frozenset({0, 1})
-
-
-def test_cocircuit_through_pair_validates():
-    m = u24()
-    with pytest.raises(DomainError):
-        m.cocircuit_through_pair([0, 1], 0, 1)
-    with pytest.raises(DomainError):
-        m.cocircuit_through_pair([0, 1, 2], 0, 0)
-
-
-def test_fundamental_circuit_fig4():
-    m = graphic_om(fig4_digraph()).matroid
-    # basis {e4,e5,e6}, adding e2 closes the outer 4-cycle's complement
-    got = m.fundamental_circuit([3, 4, 5], 1)
-    assert got == frozenset({1, 3, 4, 5})
-
-
-def test_fundamental_circuit_u24():
-    m = u24()
-    assert m.fundamental_circuit([0, 1], 2) == frozenset({0, 1, 2})
-
-
-def test_fundamental_circuit_triangle():
-    m = graphic_triangle()
-    assert m.fundamental_circuit([0, 1], 2) == frozenset({0, 1, 2})
-
-
-def test_fundamental_circuit_loop():
-    ground = GroundSet.range(3)
-    m = Matroid.from_circuits(ground, [[0]])
-    basis = next(b for b in bases(m))
-    assert m.fundamental_circuit(basis, 0) == frozenset({0})
-
-
-def test_fundamental_circuit_validates():
-    m = u24()
-    with pytest.raises(DomainError):
-        m.fundamental_circuit([0, 1, 2], 3)  # not a basis
-    with pytest.raises(DomainError, match="not a basis"):
-        m.fundamental_circuit([0], 3)  # independent but too small
-    with pytest.raises(DomainError):
-        m.fundamental_circuit([0, 1], 1)  # already inside
+        meets_no_cocircuit_once = all((v & u).bit_count() != 1 for u in m.cocircuit_masks)
+        assert meets_no_cocircuit_once == union_of_circuits
 
 
 # -- cross-validation fuzz ------------------------------------------------------------

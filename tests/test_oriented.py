@@ -30,7 +30,7 @@ from omlab.oriented import (
     special_eliminate,
     vectors,
 )
-from omlab.signed_sets import GroundSet, SignedSubset, bits, compose, compose_pair, mask_of
+from omlab.signed_sets import GroundSet, SignedSubset, bits, compose, mask_of
 from test_checker_oracles import check_orthogonality_sep, restrict_induced_sets
 
 
@@ -576,7 +576,7 @@ def brute_vectors(sig: CircuitSignature) -> frozenset[SignedSubset]:
         seen.add(current)
         for m in members:
             if m.support & ~current.support:
-                rec(compose_pair(current, m))
+                rec(compose(current.ground, [current, m]))
 
     for m in members:
         rec(m)
@@ -620,7 +620,7 @@ def test_decompose_composed_vector():
     pair = graphic_om(fig4_digraph())
     c = ss(pair.ground, "++++00")
     ce1 = ss(pair.ground, "-0+0++")
-    target = compose_pair(c, ce1)
+    target = compose(pair.ground, [c, ce1])
     got = conformal_decompose(pair, target)
     assert not isinstance(got, DecomposeFailure)
     for piece in got:
@@ -759,11 +759,9 @@ ALT4 = alternating_rank2(4)
     "call",
     [
         lambda: induced_signature(ALT4, MinorSpec.of(contract=[-1])),
-        lambda: ALT4.matroid.fundamental_circuit(0b11, -1),
         lambda: ALT4.circuit_sig.by_support([-1, 0]),
         lambda: ALT4.matroid.rank([-2]),
         lambda: ALT4.circuit_sig.reorient([-1]),
-        lambda: ALT4.matroid.cocircuit_through_pair(0b111, -1, 0),
         lambda: ALT4.circuit_sig.representatives()[0].sign(-1),
         lambda: EliminationInstance.of(fig4_instance()[1].circuit, {}, -1),
         lambda: EliminationInstance.of(fig4_instance()[1].circuit, {-1: fig4_instance()[1].members[0][1]}, 0),
@@ -771,11 +769,9 @@ ALT4 = alternating_rank2(4)
     ],
     ids=[
         "minor",
-        "fundamental_circuit",
         "by_support",
         "rank",
         "reorient",
-        "cocircuit_through_pair",
         "sign",
         "retained",
         "eliminated",

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omlab.errors import DomainError, GroundMismatchError, UnknownElementError
-from omlab.signed_sets import GroundSet, SignedSubset, compose, compose_pair
+from omlab.signed_sets import GroundSet, SignedSubset, compose
 
 G3 = GroundSet.range(3)
 G4 = GroundSet.range(4)
@@ -153,7 +153,7 @@ def test_restriction_conforms(x, a):
 @given(st.lists(signed_subsets(G4), max_size=5), st.lists(signed_subsets(G4), max_size=5))
 def test_compose_flattening_associative(xs, ys):
     flat = compose(G4, xs + ys)
-    nested = compose_pair(compose(G4, xs), compose(G4, ys)) if xs or ys else compose(G4, [])
+    nested = compose(G4, [compose(G4, xs), compose(G4, ys)]) if xs or ys else compose(G4, [])
     assert flat == nested
 
 
