@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import CapExceededError, DomainError, ValidationError
-from .signed_sets import GroundSet, _Frozen, _setattr, bits, indices, mask_of
+from .signed_sets import GroundSet, _Frozen, _setattr, _Slotted, bits, indices, mask_of
 
 C3_CAP_DEFAULT = 12
 
@@ -35,7 +36,7 @@ class MinorSpec(_Frozen):
     __slots__ = _fields = ("contract", "delete")
 
     def __init__(self, contract: frozenset[int], delete: frozenset[int]):
-        if contract & delete:
+        if not contract.isdisjoint(delete):
             raise DomainError("contract and delete sets overlap")
         _setattr(self, "contract", contract)
         _setattr(self, "delete", delete)
@@ -53,16 +54,26 @@ class MinorSpec(_Frozen):
         return mask_of(self.delete)
 
 
+_AB = str.maketrans("10", "ab")
+
+
+def _order(m: int) -> str:
+    """Sorts masks as ``tuple(bits(m))`` does: character e is "a" when e is in m, else "b"."""
+    return bin(m)[:1:-1].translate(_AB) if m else ""
+
+
 def _canonical(masks: Iterable[int]) -> tuple[int, ...]:
-    return tuple(sorted(set(masks), key=lambda m: tuple(bits(m))))
+    return tuple(sorted(set(masks), key=_order))
 
 
-class Matroid:
+class Matroid(_Slotted):
     """A finite matroid on a :class:`GroundSet`, stored by its circuit masks.
 
-    Instances are immutable after construction; lazy caches (dual,
-    contractions) are filled once and then only read.
+    Instances are immutable after construction; the dual is cached, and the
+    contractions are memoised in a dict allocated on the first one.
     """
+
+    __slots__ = ("ground", "circuit_masks", "_dual", "_contractions", "__weakref__")
 
     def __init__(self, *args, **kwargs):
         raise DomainError("use validate_circuits() or Matroid.from_circuits()")
@@ -84,8 +95,7 @@ class Matroid:
         m = cls.__new__(cls)
         m.ground = ground
         m.circuit_masks = masks
-        m._dual = None
-        m._contractions = {}
+        m._dual = m._contractions = None
         return m
 
     # -- identity ----------------------------------------------------------
@@ -104,16 +114,7 @@ class Matroid:
         fam = ", ".join("{" + ",".join(self.ground.labels_of(m)) + "}" for m in self.circuit_masks)
         return f"Matroid({list(self.ground.labels)}; circuits [{fam}])"
 
-    @property
-    def circuits(self) -> tuple[frozenset[int], ...]:
-        return tuple(indices(m) for m in self.circuit_masks)
-
-    # -- independence and rank ----------------------------------------------
-
-    def is_independent(self, a: int | Iterable[int]) -> bool:
-        m = a if isinstance(a, int) else mask_of(a)
-        self.ground.check_mask(m)
-        return all(c & ~m for c in self.circuit_masks)
+    # -- rank ------------------------------------------------------------------
 
     def rank(self, a: int | Iterable[int] | None = None) -> int:
         m = self.ground.full_mask if a is None else (a if isinstance(a, int) else mask_of(a))
@@ -170,48 +171,41 @@ class Matroid:
     def cocircuit_masks(self) -> tuple[int, ...]:
         return self.dual().circuit_masks
 
-    @property
-    def cocircuits(self) -> tuple[frozenset[int], ...]:
-        return self.dual().circuits
-
     # -- minors ---------------------------------------------------------------
 
     def _contraction(self, f: int) -> tuple[int, ...]:
         """``contraction_circuit_masks(self.circuit_masks, f)``, memoised per contracted mask."""
-        got = self._contractions.get(f)
+        memo = self._contractions = self._contractions or {}  # made on first use
+        got = memo.get(f)
         if got is None:
-            got = self._contractions[f] = contraction_circuit_masks(self.circuit_masks, f)
+            got = memo[f] = contraction_circuit_masks(self.circuit_masks, f)
         return got
 
-    def _minor(self, f: int, g: int, circuits, cocircuits) -> tuple["Matroid", list[list[tuple[int, int, int]]]]:
+    def _minor(self, f: int, g: int, circuits, cocircuits, single: bool = True) -> tuple["Matroid", tuple]:
         """The minor M/f\\g, built by the one rule every minor follows.
 
-        ``circuits`` are (c, pos) pairs for the circuits c of the contraction
-        by f, and ``cocircuits`` for the cocircuits c of the dual's
-        contraction by g, each in canonical order of c.  A circuit may come
-        with several signings pos; an unsigned one is its own.  Each side
+        ``circuits`` are keys c | pos << n, n the ground size, for the circuits c
+        of the contraction by f and a signing pos, and ``cocircuits`` for the
+        cocircuits c of the dual's contraction by g, in canonical order of c.  A circuit may come
+        with several adjacent signings pos, unless ``single`` says none does.  Each side
         drops the c that meet what it deletes, g for circuits and f for
         cocircuits, and relabels the rest, which keeps them in canonical
         order; the labels and the relabelling come from memos per dropped set
         f | g.  The circuits give the minor and the cocircuits its dual,
         (M/f\\g)* = M*/g\\f, linked to it.  Returns the minor and per side the
-        relabelled (pos, neg, support) of each pair, in one pass per side.
+        relabelled (pos, neg, support) of each key, in one comprehension per side.
         """
-        ground, down = self.ground._without(f | g), _relabelled(f | g)
-        minors, sides = [], []
-        for pairs, delete in ((circuits, g), (cocircuits, f)):
-            masks, side = [], []
-            for pair in pairs:
-                if not pair[0] & delete:
-                    got = down[pair]
-                    if not masks or masks[-1] != got[2]:
-                        masks.append(got[2])
-                    side.append(got)
-            minors.append(Matroid._from_canonical(ground, tuple(masks)))
-            sides.append(side)
-        n, dual = minors
-        n._dual, dual._dual = dual, n
-        return n, sides
+        ground, down = self.ground._without(f | g), _relabelled(f | g, self.ground.size)
+        circ = tuple([down[key] for key in circuits if not key & g])
+        cocirc = tuple([down[key] for key in cocircuits if not key & f])
+        # the signings of a circuit share its support, which the minor lists once
+        distinct = tuple if single else lambda supports: tuple(dict.fromkeys(supports))
+        masks, comasks = distinct(map(_SUPPORT, circ)), distinct(map(_SUPPORT, cocirc))
+        # built as _from_canonical builds them, inline on this hot path, and linked
+        n, dual = object.__new__(Matroid), object.__new__(Matroid)
+        n.ground, n.circuit_masks, n._dual, n._contractions = ground, masks, dual, None
+        dual.ground, dual.circuit_masks, dual._dual, dual._contractions = ground, comasks, n, None
+        return n, (circ, cocirc)
 
     def minor_with_map(self, spec: MinorSpec) -> tuple["Matroid", tuple[int, ...]]:
         """Minor plus the kept old indices, in the order they become new indices.
@@ -222,44 +216,51 @@ class Matroid:
         f = self.ground.check_mask(spec.contract_mask)
         g = self.ground.check_mask(spec.delete_mask)
         kept = tuple(i for i in range(self.ground.size) if not ((f | g) >> i) & 1)
+        unsigned = ((1 << self.ground.size) | 1).__mul__  # c | c << n: a set is its own positive part
         cs, us = self._contraction(f), self.dual()._contraction(g)
-        return self._minor(f, g, zip(cs, cs), zip(us, us))[0], kept
+        return self._minor(f, g, map(unsigned, cs), map(unsigned, us))[0], kept
 
 
 class _Relabelled(dict):
-    """Per (support, positive part) pair asked so far, its packed (pos, neg, support) triple
-    moved to the ground set without ``dropped``, in kept order: one object per pair.
+    """Per signed set s | p << n asked so far (support s, positive part p, on n elements), its
+    (pos, neg, support) triple moved to the ground set without ``dropped``: one object per set.
 
     The bits of ``dropped`` are discarded and the bits above each one move down to close its
     gap, so the j-th element outside ``dropped`` becomes element j.
     """
 
-    def __init__(self, dropped: int):
+    def __init__(self, dropped: int, n: int):
+        self.n = n
         self.gaps = [((1 << i) - 1, -1 << i) for i in range(dropped.bit_length() - 1, -1, -1) if dropped >> i & 1]
 
-    def __missing__(self, pair: tuple[int, int]) -> tuple[int, int, int]:
-        s, p = pair
+    def __missing__(self, key: int) -> tuple[int, int, int]:
+        s, p = key & (1 << self.n) - 1, key >> self.n
         for low, high in self.gaps:
             s, p = s & low | s >> 1 & high, p & low | p >> 1 & high
-        got = self[pair] = p, s & ~p, s
+        got = self[key] = p, s & ~p, s
         return got
 
 
-# one table per dropped set, which 3^n minors share 2^n ways: shared by every matroid and bounded
+_SUPPORT = operator.itemgetter(2)  # of a packed (pos, neg, support) triple
+# one table per dropped set and n, which 3^n minors share 2^n ways: shared by every matroid and bounded
 _relabelled = functools.lru_cache(maxsize=1 << 10)(_Relabelled)
 
 
 def contraction_circuit_masks(circuit_masks: Iterable[int], f: int) -> tuple[int, ...]:
     """Circuits after contracting ``f``: minimal nonempty sets C \\ f."""
-    cands = sorted({c & ~f for c in circuit_masks if c & ~f}, key=int.bit_count)
+    return _minimal({c & ~f for c in circuit_masks if c & ~f})
+
+
+def _minimal(masks: Iterable[int]) -> tuple[int, ...]:
+    """The minimal ones of distinct nonempty ``masks``, in canonical order."""
     out: list[int] = []
-    for m in cands:
+    for m in sorted(masks, key=int.bit_count):
         for o in out:
             if not o & ~m:
                 break
         else:
             out.append(m)
-    return _canonical(out)
+    return tuple(sorted(out, key=_order))
 
 
 def validate_circuits(

@@ -18,8 +18,8 @@ from collections import deque
 from typing import Iterable, NamedTuple
 
 from .errors import CapExceededError, DomainError, GroundMismatchError, InvariantError, ValidationError
-from .matroid import Matroid, MinorSpec, _Cover, _elimination_scan, _first_bad_family, _first_nested, _Inside
-from .signed_sets import GroundSet, SignedSubset, _Frozen, bits, indices, mask_of
+from .matroid import Matroid, MinorSpec, _Cover, _elimination_scan, _first_bad_family, _first_nested, _Inside, _minimal
+from .signed_sets import GroundSet, SignedSubset, _Frozen, _Slotted, bits, indices, mask_of
 
 FOUR_P_CAP_DEFAULT = 10
 CE_CAP_DEFAULT = 10
@@ -30,7 +30,7 @@ FA_CAP_DEFAULT = 10
 # signatures
 
 
-class CircuitSignature:
+class CircuitSignature(_Slotted):
     """A symmetric signing of every circuit of a matroid.
 
     Exactly one opposite pair {C, -C} per circuit; a cocircuit signature of M
@@ -39,6 +39,8 @@ class CircuitSignature:
     in canonical circuit order; signed members are built only when asked for,
     and restrictions to contractions are memoised per contracted set.
     """
+
+    __slots__ = ("matroid", "_pairs", "_restriction_memo", "_signed", "_reps", "_rep_by_support", "__weakref__")
 
     def __init__(self, matroid: Matroid, signed: Iterable[SignedSubset]):
         members = frozenset(signed)
@@ -61,7 +63,8 @@ class CircuitSignature:
                     f"support {sorted(bits(s))} must carry exactly one opposite pair of signings"
                 )
         reps = tuple(supports[s][0].canonical_rep() for s in matroid.circuit_masks)
-        self._set(matroid, tuple((x.pos, x.neg, x.support) for x in reps))
+        self.matroid, self._pairs = matroid, tuple((x.pos, x.neg, x.support) for x in reps)
+        self._restriction_memo = self._rep_by_support = None
         self._signed, self._reps = members, reps
 
     @classmethod
@@ -69,34 +72,34 @@ class CircuitSignature:
         """A signature from packed pairs already valid: one per circuit of ``matroid``, in its
         order, each positive on its least element.  Only the minor machinery builds these."""
         sig = cls.__new__(cls)
-        sig._set(matroid, pairs)
+        sig.matroid, sig._pairs = matroid, pairs
+        # the memo and the signed members are built only when first asked for
+        sig._restriction_memo = sig._signed = sig._reps = sig._rep_by_support = None
         return sig
 
-    # the signed members, built only when first asked for
-    _signed: frozenset[SignedSubset] | None = None
-    _reps: tuple[SignedSubset, ...] | None = None
-    _rep_by_support: dict[int, SignedSubset] | None = None
-
-    def _set(self, matroid: Matroid, pairs: tuple[tuple[int, int, int], ...]) -> None:
-        self.matroid = matroid
-        self._pairs = pairs
-        self._restriction_memo: dict[int, tuple[int, ...]] = {}
-
-    def _restricted(self, f: int) -> tuple[int, ...]:
-        """Memoised per f: (c, pos, c, pos, ...) for each circuit c of the contraction by f, in
-        canonical order, and each distinct signing of c that a pair with support s \\ f = c
-        restricts to, positive on c's least element."""
-        got = self._restriction_memo.get(f)
+    def _restricted(self, f: int) -> tuple[tuple[int, ...], bool]:
+        """Memoised per f: a key c | pos << n (n the ground size) for each circuit c of the
+        contraction by f, in canonical order, and each distinct signing pos of c that a pair with
+        support s \\ f = c restricts to, positive on c's least element; and whether no c has two
+        signings.  One pass groups the pairs by c = s \\ f, whose minimal nonempty values are the
+        contraction's circuits, since the supports are the circuits."""
+        memo = self._restriction_memo = self._restriction_memo or {}  # made on first use
+        got = memo.get(f)
         if got is None:
-            signings: dict[int, list[int]] = {c: [] for c in self.matroid._contraction(f)}
+            signings: dict[int, list[int]] = {}
             for p, _, s in self._pairs:
                 c = s & ~f
+                pos = p & c if p & c & -c else c & ~p
                 seen = signings.get(c)
-                if seen is not None:
-                    pos = p & c if p & c & -c else c & ~p
-                    if pos not in seen:
-                        seen.append(pos)
-            got = self._restriction_memo[f] = tuple(x for c, seen in signings.items() for p in seen for x in (c, p))
+                if seen is None:
+                    signings[c] = [pos]
+                elif pos not in seen:
+                    seen.append(pos)
+            signings.pop(0, None)
+            circuits = _minimal(signings)
+            n = self.matroid.ground.size
+            keys = tuple([c | p << n for c in circuits for p in signings[c]])
+            got = memo[f] = keys, len(keys) == len(circuits)
         return got
 
     @classmethod
@@ -160,10 +163,13 @@ class CircuitSignature:
         return [x for p, m, s in self._pairs for x in ((p, m, s), (m, p, s))]
 
 
-class SignaturePair:
+class SignaturePair(_Slotted):
     """A matroid with a circuit signature and a cocircuit signature.
 
-    Owns an (FA) verdict memo, shared with every minor induced from it and freed with them."""
+    Owns the (FA) memos, verdicts and liveness tables, shared with every minor induced from it
+    and freed with them."""
+
+    __slots__ = ("matroid", "circuit_sig", "cocircuit_sig", "_fa_memo", "__weakref__")
 
     def __init__(self, matroid: Matroid, circuit_sig: CircuitSignature, cocircuit_sig: CircuitSignature):
         if circuit_sig.matroid != matroid:
@@ -171,12 +177,12 @@ class SignaturePair:
         if cocircuit_sig.matroid != matroid.dual():
             raise ValidationError("cocircuit signature does not belong to the dual matroid")
         self.matroid, self.circuit_sig, self.cocircuit_sig = matroid, circuit_sig, cocircuit_sig
-        self._fa_memo: dict[tuple, Verdict] = {}
+        self._fa_memo: tuple[dict[tuple, Verdict], dict[tuple, list[int]]] = {}, {}
 
     @classmethod
-    def _trusted(cls, matroid: Matroid, circuit_sig, cocircuit_sig, fa_memo: dict) -> "SignaturePair":
+    def _trusted(cls, matroid: Matroid, circuit_sig, cocircuit_sig, fa_memo: tuple) -> "SignaturePair":
         """A pair whose signatures already belong to ``matroid`` and its linked dual, sharing the
-        (FA) memo ``fa_memo``.  Only the minor machinery builds these."""
+        (FA) memos ``fa_memo``.  Only the minor machinery builds these."""
         pair = cls.__new__(cls)
         pair.matroid, pair.circuit_sig, pair.cocircuit_sig, pair._fa_memo = matroid, circuit_sig, cocircuit_sig, fa_memo
         return pair
@@ -299,6 +305,9 @@ class Verdict(NamedTuple):
         return self.ok
 
 
+_PASSED = Verdict(True)  # immutable, so the checks share it instead of building a passing verdict per call
+
+
 class OrthViolation(NamedTuple):
     circuit: SignedSubset
     cocircuit: SignedSubset
@@ -389,7 +398,7 @@ def check_orthogonality(pair: SignaturePair) -> Verdict:
             if cs & us and not (cp & up | cn & un and cp & un | cn & up):
                 c, u = SignedSubset(pair.ground, cp, cn), SignedSubset(pair.ground, up, un)
                 return Verdict(False, OrthViolation(c, u))
-    return Verdict(True)
+    return _PASSED
 
 
 # ---------------------------------------------------------------------------
@@ -455,16 +464,13 @@ def induced_signature(pair: SignaturePair, spec: MinorSpec) -> SignaturePair:
     to non-opposite signings, the induction is ill-defined and an upstream
     (O) violation is reported.
     """
-    n, sides = _induced(pair, spec)
-    sigs = []
-    for matroid, side in zip((n, n.dual()), sides):
-        # every minor (co)circuit has a lift, so a second pair on a support shows as one too many
-        if len(side) > len(matroid.circuit_masks):
-            raise ValidationError(
-                "induced signing depends on the choice of lift; the signature pair violates (O)"
-            )
-        sigs.append(CircuitSignature._trusted(matroid, tuple(side)))
-    return SignaturePair._trusted(n, *sigs, pair._fa_memo)
+    n, (circuits, cocircuits) = _induced(pair, spec)
+    dual = n._dual
+    # every minor (co)circuit has a lift, so a second pair on a support shows as one too many
+    if len(circuits) > len(n.circuit_masks) or len(cocircuits) > len(dual.circuit_masks):
+        raise ValidationError("induced signing depends on the choice of lift; the signature pair violates (O)")
+    csig, usig = CircuitSignature._trusted(n, circuits), CircuitSignature._trusted(dual, cocircuits)
+    return SignaturePair._trusted(n, csig, usig, pair._fa_memo)
 
 
 class InducedSets(NamedTuple):
@@ -482,14 +488,14 @@ def induced_sets(pair: SignaturePair, spec: MinorSpec) -> InducedSets:
     """
     n, sides = _induced(pair, spec)
 
-    def members(side: list[tuple[int, int, int]]) -> frozenset[SignedSubset]:
+    def members(side: tuple[tuple[int, int, int], ...]) -> frozenset[SignedSubset]:
         signed = (SignedSubset(n.ground, p, m) for p, m, _ in side)
         return frozenset(y for x in signed for y in (x, -x))
 
     return InducedSets(*map(members, sides), n)
 
 
-def _induced(pair: SignaturePair, spec: MinorSpec) -> tuple[Matroid, list[list[tuple[int, int, int]]]]:
+def _induced(pair: SignaturePair, spec: MinorSpec) -> tuple[Matroid, tuple[tuple[tuple[int, int, int], ...], ...]]:
     """The minor M/f\\g linked to its dual, and per side the packed (pos, neg, support) of each
     distinct induced signing, positive on its least element, in canonical support order.
 
@@ -501,10 +507,11 @@ def _induced(pair: SignaturePair, spec: MinorSpec) -> tuple[Matroid, list[list[t
     and g are disjoint, so when c avoids g, s does too.
     """
     m = pair.matroid
-    f = m.ground.check_mask(spec.contract_mask)
-    g = m.ground.check_mask(spec.delete_mask)
-    c, u = iter(pair.circuit_sig._restricted(f)), iter(pair.cocircuit_sig._restricted(g))
-    return m._minor(f, g, zip(c, c), zip(u, u))
+    f, g = spec.contract_mask, spec.delete_mask
+    if (f | g) >> m.ground.size:  # a mask names an element outside, or is negative
+        m.ground.check_mask(f), m.ground.check_mask(g)
+    (circuits, single), (cocircuits, co_single) = pair.circuit_sig._restricted(f), pair.cocircuit_sig._restricted(g)
+    return m._minor(f, g, circuits, cocircuits, single and co_single)
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +563,7 @@ def check_FP(
     sides = _positive_sides(s_members, t_members, ground)
     s_cover, t_cover = (functools.reduce(int.__or__, (x.pos for x in side), 0) for side in sides)
     fp = _fp_violation(s_cover, t_cover, ground.full_mask)
-    return Verdict(True) if fp is None else Verdict(False, fp)
+    return _PASSED if fp is None else Verdict(False, fp)
 
 
 def _fp_violation(s_cover: int, t_cover: int, ground_mask: int) -> FPViolation | None:
@@ -613,6 +620,7 @@ def _exhaust_or_sample(
 _BLOCK_ELEMENTS = 8  # exhaustive blocks paint the last 8 elements all 4^8 ways
 _SAMPLE_BATCH = 1024  # sampled paintings per pass; small, so a witness stops the draws early
 _COLOR_DIGITS = tuple(bytes(48 + (i == c) for i in range(256)) for c in range(4))  # color c -> b"1"
+_BYTE_ELEMENTS = tuple(tuple(bits(m)) for m in range(256))  # the elements of each mask below 2^8
 
 
 def _paint_bad(circ, cocirc, planes: list[tuple[int, ...]]) -> tuple[list[int], list[int], list[int]]:
@@ -629,19 +637,19 @@ def _paint_bad(circ, cocirc, planes: list[tuple[int, ...]]) -> tuple[list[int], 
         out = [0] * len(planes)
         for p, m, s, live in members:
             blocked = plus_bad = minus_bad = 0
-            for e in bits(p):
+            for e in _BYTE_ELEMENTS[p] if p < 256 else bits(p):
                 col = planes[e]
                 blocked |= col[avoid]
                 minus_bad |= col[0]
                 plus_bad |= col[1]
-            for e in bits(m):
+            for e in _BYTE_ELEMENTS[m] if m < 256 else bits(m):
                 col = planes[e]
                 blocked |= col[avoid]
                 plus_bad |= col[0]
                 minus_bad |= col[1]
             hit = live & ~(blocked | (plus_bad & minus_bad))
             if hit:
-                for e in bits(s):
+                for e in _BYTE_ELEMENTS[s] if s < 256 else bits(s):
                     out[e] |= hit
         return out
 
@@ -867,11 +875,12 @@ def _live_planes(masks: list[int], inside: _Inside) -> list[int]:
     inside f.
     """
     full = inside[0]  # every position's set contains the empty mask
+    outside = [(d, ~inside[d]) for d in masks]
     out = []
     for s in masks:
         dead = inside[s]
-        for d in masks:
-            dead |= inside[d & ~s] & ~inside[d] & ~inside[s & ~d]
+        for d, not_inside in outside:
+            dead |= inside[d & ~s] & not_inside & ~inside[s & ~d]
         out.append(full & ~dead)
     return out
 
@@ -937,7 +946,7 @@ def _spread(table: int, k: int, color: int) -> int:
     return plane if k > 1 else plane & (1 << 4**k) - 1  # n <= 1: part of one byte
 
 
-def _fa_blocks(n: int, circ_pairs, cocirc_pairs) -> list:
+def _fa_blocks(n: int, circ_pairs, cocirc_pairs, tables: dict) -> list:
     """The exhaustive (FA) batches: each block of ``_exhaustive_paintings`` with its members per side.
 
     A member is live where the contracted set (color 2; for cocircuits the
@@ -946,22 +955,23 @@ def _fa_blocks(n: int, circ_pairs, cocirc_pairs) -> list:
     ``_live_planes`` therefore runs on the 2^k suffix subsets, once per
     distinct prefix set and side, and ``_spread`` reads each member's table
     at the block's 4^k paintings.  Members are (pos, neg, support, live).
+    The tables ignore signs and colors, so ``tables`` memoises them per n,
+    prefix set and supports, for every minor a sweep meets again.
     """
     k = min(n, _BLOCK_ELEMENTS)
-    memo: dict[tuple[int, int], list[tuple[int, int, int, int]]] = {}
+    sides = [(reps, color, tuple([x[2] for x in reps])) for reps, color in ((circ_pairs, 2), (cocirc_pairs, 3))]
     out = []
     for planes, full, colors_of in _exhaustive_paintings(n):
-        sides = []
-        for reps, color in ((circ_pairs, 2), (cocirc_pairs, 3)):
+        members = []
+        for reps, color, supports in sides:
             f = 0  # the prefix elements painted the color, whose planes are full
             for e in range(n - k):
                 f |= (planes[e][color] & 1) << e
-            got = memo.get((color, f))
+            got = tables.get((n, f, supports))
             if got is None:
-                tables = _live_planes([s for *_, s in reps], _subset_inside(n, f))
-                got = memo[color, f] = [(*x, _spread(t, k, color)) for x, t in zip(reps, tables)]
-            sides.append(got)
-        out.append((planes, full, colors_of, sides))
+                got = tables[n, f, supports] = _live_planes(supports, _subset_inside(n, f))
+            members.append([(p, m, s, _spread(t, k, color)) for (p, m, s), t in zip(reps, got)])
+        out.append((planes, full, colors_of, members))
     return out
 
 
@@ -1015,8 +1025,7 @@ def check_FA(
     A signed circuit counts where its support avoids the deleted set and
     stays a circuit after contracting f; ``_fa_blocks`` decides that once
     per contracted set and spreads it over an exhaustive block, and
-    ``_fa_members`` per sampled batch.  Cocircuits swap contraction and
-    deletion.
+    ``_fa_members`` per sampled batch.  Cocircuits swap contraction and deletion.
     The witness is the first failing pair in (FA) order: the minor in product
     order (keep < contract < delete, element 0 first), then the reorientation
     mask as an integer.  A sample draws ``randrange(3)`` per element, then
@@ -1024,16 +1033,22 @@ def check_FA(
     Exhaustive verdicts go in the memo shared by a root pair and every minor induced from it,
     keyed by n and both sides' packed (pos, neg, support) pairs: all the kernel reads, and
     witnesses name elements by index.  Sampled and over-cap calls bypass it, so a sweep over a
-    pair's minors runs the kernel once per distinct minor.
+    pair's minors runs the kernel once per distinct minor; the liveness tables the root shares
+    with them serve every minor with the same unsigned sides.
     """
+    memo_key = pair.ground.size, pair.circuit_sig._pairs, pair.cocircuit_sig._pairs
+    if sample is not None or memo_key[0] > cap:
+        return _check_FA(pair, cap, sample, seed)
+    verdict = pair._fa_memo[0].get(memo_key)
+    if verdict is None:
+        verdict = pair._fa_memo[0][memo_key] = _check_FA(pair, cap, sample, seed)
+    return verdict
+
+
+def _check_FA(pair: SignaturePair, cap: int, sample: int | None, seed: int) -> Verdict:
+    """:func:`check_FA` without its memo, whose hits then create none of the closures here."""
     n = pair.ground.size
     circ_pairs, cocirc_pairs = pair.circuit_sig._pairs, pair.cocircuit_sig._pairs
-    memoised = sample is None and n <= cap
-    if memoised:
-        memo_key = n, circ_pairs, cocirc_pairs
-        verdict = pair._fa_memo.get(memo_key)
-        if verdict is not None:
-            return verdict
     matroids = pair.circuit_sig.matroid, pair.cocircuit_sig.matroid
 
     def sampled(rng: random.Random):
@@ -1061,15 +1076,12 @@ def check_FA(
                 found.append((key, FAViolation(MinorSpec(f, g), a, fp)))
         return min(found, key=lambda item: item[0])[1] if found else None
 
-    verdict = _exhaust_or_sample(
+    return _exhaust_or_sample(
         "FA", "minor/reorientation pairs", n, cap, sample, seed,
         # one batch: the (FA)-order first witness may lie in any block
-        lambda: [(_fa_blocks(n, circ_pairs, cocirc_pairs), True)],
+        lambda: [(_fa_blocks(n, circ_pairs, cocirc_pairs, pair._fa_memo[1]), True)],
         sampled, first_bad,
     )
-    if memoised:
-        pair._fa_memo[memo_key] = verdict
-    return verdict
 
 
 def fa_gap_witness(pair: SignaturePair) -> FAViolation | None:

@@ -79,6 +79,15 @@ class _Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+class _Slotted:
+    """Base of the mutable slotted classes: pickled by their slots under every protocol."""
+
+    __slots__ = ()
+
+    def __getstate__(self):  # copyreg refuses object's own one for protocols 0 and 1
+        return object.__getstate__(self)
+
+
 class GroundSet(_Frozen):
     """Ordered list of distinct element labels; iteration order is fixed.
 
@@ -262,9 +271,6 @@ class SignedSubset(_Frozen):
         agree = (self.pos & other.pos) | (self.neg & other.neg)
         disagree = (self.pos & other.neg) | (self.neg & other.pos)
         return bool(agree & common) and bool(disagree & common)
-
-    def separator(self, other: "SignedSubset") -> frozenset[int]:
-        return indices(self.sep_mask(other))
 
     def sep_mask(self, other: "SignedSubset") -> int:
         self._require_same_ground(other)

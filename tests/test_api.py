@@ -27,12 +27,11 @@ ATTRIBUTES = {
     "GroundSet": ["check_mask", "full_mask", "index", "labels", "labels_of", "range", "size"],
     "SignedSubset": [
         "canonical_rep", "conforms_to", "from_string", "ground", "is_empty", "is_positive", "neg",
-        "orthogonal", "pos", "reorient", "restrict", "sep_mask", "separator", "sign", "sort_key",
+        "orthogonal", "pos", "reorient", "restrict", "sep_mask", "sign", "sort_key",
         "support", "to_string", "zero",
     ],
     "Matroid": [
-        "circuit_masks", "circuits", "cocircuit_masks", "cocircuits", "dual",
-        "from_circuits", "ground", "is_independent", "minor_with_map", "rank",
+        "circuit_masks", "cocircuit_masks", "dual", "from_circuits", "ground", "minor_with_map", "rank",
     ],
     "CircuitSignature": [
         "by_support", "from_representatives", "ground", "matroid", "member_masks", "pair_masks", "reorient",
@@ -51,7 +50,7 @@ SIGNATURES = {
     signed_sets.GroundSet.range: "(n)",
     oriented.fa_gap_witness: "(pair)",
     oriented.check_FA: "(pair, *, cap=10, sample=None, seed=0)",
-    oriented._fa_blocks: "(n, circ_pairs, cocirc_pairs)",
+    oriented._fa_blocks: "(n, circ_pairs, cocirc_pairs, tables)",
     oriented._fa_members: "(circ_pairs, cocirc_pairs, batch, matroids)",
     oriented._live_planes: "(masks, inside)",
     lines.u3_signature: "(q)",

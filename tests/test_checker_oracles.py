@@ -10,6 +10,7 @@ import contextlib
 import functools
 import gc
 import itertools
+import pickle
 import random
 import weakref
 
@@ -1119,8 +1120,8 @@ def replaced_block_members(n: int, circ_pairs, cocirc_pairs) -> list:
     return out
 
 
-def assert_blocks_match_replaced_path(n: int, circ_pairs, cocirc_pairs) -> list:
-    blocks = _fa_blocks(n, circ_pairs, cocirc_pairs)
+def assert_blocks_match_replaced_path(n: int, circ_pairs, cocirc_pairs, tables=None) -> list:
+    blocks = _fa_blocks(n, circ_pairs, cocirc_pairs, {} if tables is None else tables)
     assert [block[:3] for block in blocks] == list(_exhaustive_paintings(n))
     assert [list(block[3]) for block in blocks] == replaced_block_members(n, circ_pairs, cocirc_pairs), n
     return blocks
@@ -1165,30 +1166,37 @@ def test_fa_members_liveness_matches_contraction_in_every_block(case):
 def test_fa_blocks_match_replaced_path_on_pool_and_its_minors(instance_pool, pool_minors):
     # the pool's pairs (n <= 7) and their 3^n minors (n <= 6), down to the
     # single painting of n = 0 and the four of n = 1; one comparison per content
+    # one liveness memo for all of them: its key (n, prefix set, supports) must tell
+    # apart every side whose tables differ, across signs, colors, pairs and minors
     pairs = [inst.pair for inst in instance_pool]
     pairs += [entry.induced for entry in pool_minors if isinstance(entry.induced, SignaturePair)]
-    seen = set()
+    seen, tables = set(), {}
     for pair in pairs:
         n, circ_pairs, cocirc_pairs = pair.ground.size, pair.circuit_sig.pair_masks(), pair.cocircuit_sig.pair_masks()
         key = n, tuple(circ_pairs), tuple(cocirc_pairs)
         if key not in seen:
             seen.add(key)
-            assert_blocks_match_replaced_path(n, circ_pairs, cocirc_pairs)
+            assert_blocks_match_replaced_path(n, circ_pairs, cocirc_pairs, tables)
     assert {n for n, *_ in seen} == set(range(8))
+    assert len(tables) < len(seen)  # signed sides that share supports share their tables
 
 
 def test_fa_blocks_match_replaced_path_on_random_clutters():
+    tables = {}  # shared, as by the minors of one root
     for seed in range(300):
         ground, masks = random_clutter(random.Random(seed))
         members = [(s, 0, s) for s in masks]
-        assert_blocks_match_replaced_path(ground.size, members, members[::-1])
+        assert_blocks_match_replaced_path(ground.size, members, members[::-1], tables)
 
 
 def test_fa_blocks_match_replaced_path_on_a_corrupted_alt10():
     # sixteen blocks, four prefix sets per side: blocks share the tables of their set
     mutant = corrupt_pair(alternating_rank2(10), random.Random(10))
-    blocks = assert_blocks_match_replaced_path(10, mutant.circuit_sig.pair_masks(), mutant.cocircuit_sig.pair_masks())
-    assert len(blocks) == 16 and len({id(side) for block in blocks for side in block[3]}) == 8
+    tables = {}
+    blocks = assert_blocks_match_replaced_path(
+        10, mutant.circuit_sig.pair_masks(), mutant.cocircuit_sig.pair_masks(), tables
+    )
+    assert len(blocks) == 16 and len(tables) == 8
 
 
 def test_fa_matches_scalar_on_alt9():
@@ -1462,6 +1470,84 @@ def test_contraction_memo_matches_contraction(instance_pool):
                 got = side._contraction(f)
                 assert got == contraction_circuit_masks(side.circuit_masks, f), (side, f)
                 assert side._contraction(f) is got
+
+
+# -- the one-pass restriction against the contraction-based one it replaced
+
+
+def contraction_restriction(sig: CircuitSignature, f: int) -> tuple[tuple[int, int], ...]:
+    """The replaced restriction: each circuit c of ``contraction_circuit_masks`` by f, in canonical
+    order, with each distinct signing, positive on c's least element, that a pair with s \\ f = c
+    restricts to, in pair order."""
+    signings = {c: [] for c in contraction_circuit_masks(sig.matroid.circuit_masks, f)}
+    for p, _, s in sig.pair_masks():
+        c = s & ~f
+        pos = p & c if p & c & -c else c & ~p
+        if c in signings and pos not in signings[c]:
+            signings[c].append(pos)
+    return tuple((c, pos) for c, seen in signings.items() for pos in seen)
+
+
+def assert_restricted_matches_contraction(sig: CircuitSignature, label) -> int:
+    """Every f's one-pass restriction equals the oracle's and is memoised; returns how many f
+    give some circuit two signings."""
+    several, n = 0, sig.ground.size
+    for f in range(1 << n):
+        keys, single = got = sig._restricted(f)
+        want = contraction_restriction(sig, f)
+        assert [(k & (1 << n) - 1, k >> n) for k in keys] == list(want), (label, f)
+        assert single == (len({c for c, _ in want}) == len(want)), (label, f)
+        assert sig._restricted(f) is got
+        several += not single
+    return several
+
+
+def test_restricted_matches_contraction_on_pool_and_its_minors(instance_pool, pool_minors):
+    pairs = [inst.pair for inst in instance_pool]
+    pairs += [entry.induced for entry in pool_minors if isinstance(entry.induced, SignaturePair)]
+    seen, several = set(), 0
+    for sig in (sig for pair in pairs for sig in (pair.circuit_sig, pair.cocircuit_sig)):
+        key = sig.ground.size, sig._pairs  # all a restriction reads
+        if key not in seen:
+            seen.add(key)
+            several += assert_restricted_matches_contraction(sig, key)
+    assert several  # the mutants violate (O), so some restriction has two signings
+
+
+def test_restricted_matches_contraction_on_random_clutters():
+    # trusted families that fail (C3) too, with signings that satisfy no axiom
+    non_matroids = several = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        ground, masks = random_clutter(rng)
+        m = validate_circuits(ground, masks, trusted=True)
+        several += assert_restricted_matches_contraction(random_signing(m, rng), seed)
+        non_matroids += isinstance(validate_circuits(ground, masks), CircuitViolation)
+    assert non_matroids > 50 and several
+
+
+def test_order_key_sorts_as_bit_tuples():
+    # every mask on up to 10 elements, the empty mask first
+    masks = range(1 << 10)
+    assert matroid._order(0) == "" and len(set(map(matroid._order, masks))) == len(masks)
+    assert sorted(masks, key=matroid._order) == sorted(masks, key=lambda m: tuple(bits(m)))
+    for n in range(10):
+        assert _canonical(reversed(range(1 << n))) == tuple(sorted(range(1 << n), key=lambda m: tuple(bits(m))))
+
+
+def test_slotted_classes_keep_equality_hash_pickling_and_weakrefs():
+    root = graphic_om(fig4_digraph())
+    minor = induced_signature(root, MinorSpec.of(contract=[0], delete=[2]))
+    check_FA(minor)
+    for pair in (root, minor):
+        for obj in (pair.matroid, pair.matroid.dual(), pair.circuit_sig, pair.cocircuit_sig, pair):
+            assert not hasattr(obj, "__dict__") and weakref.ref(obj)() is obj
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                copy = pickle.loads(pickle.dumps(obj, protocol))
+                assert copy is not obj and copy == obj and hash(copy) == hash(obj), (obj, protocol)
+        copy = pickle.loads(pickle.dumps(pair))
+        assert copy.matroid.dual().dual() is copy.matroid and copy._fa_memo == pair._fa_memo
+    assert pickle.loads(pickle.dumps(root)) != root.reorient(1)  # equality still reads the signs
 
 
 def assert_canonical_with_fresh_linked_dual(minors: list[Matroid], label) -> None:
@@ -1755,11 +1841,12 @@ def assert_memo_matches_fresh_pairs(minors, label) -> tuple[int, int]:
     for spec, minor in minors:
         nested, flat = (minor.ground.size, minor.circuit_sig._pairs, minor.cocircuit_sig._pairs), flat_fa_key(minor)
         assert flat_of.setdefault(nested, flat) == flat and nested_of.setdefault(flat, nested) == nested, (label, spec)
-        before = len(minor._fa_memo)
+        verdicts = minor._fa_memo[0]
+        before = len(verdicts)
         got = check_FA(minor)
         assert got == check_FA(SignaturePair(minor.matroid, minor.circuit_sig, minor.cocircuit_sig)), (label, spec)
-        assert minor._fa_memo[nested] is got, (label, spec)
-        hit = len(minor._fa_memo) == before
+        assert verdicts[nested] is got, (label, spec)
+        hit = len(verdicts) == before
         hits += hit
         failing_hits += hit and not got.ok
     assert len(flat_of) == len(nested_of)
@@ -1792,8 +1879,8 @@ def test_fa_memo_matches_fresh_pairs_on_random_signings():
 
 
 def test_per_root_caches_die_with_the_root_and_its_minors():
-    # the (FA) memo, the restriction and contraction memos and the kept labels
-    # belong to the root; a probe stored in each dies only with its cache
+    # the (FA) verdict and liveness memos, the restriction and contraction memos and
+    # the kept labels belong to the root; a probe stored in each dies only with its cache
     class Probe:
         pass
 
@@ -1801,11 +1888,14 @@ def test_per_root_caches_die_with_the_root_and_its_minors():
     minors = [induced_signature(root, spec) for spec in minor_specs(root.ground.size)]
     for minor in minors:
         check_FA(minor)
+    assert root.matroid._contractions is None  # a sweep asks the restriction memos only
+    for spec in minor_specs(root.ground.size):
+        root.matroid.minor_with_map(spec)
     caches = [
-        root._fa_memo, root.ground._kept, root.matroid._contractions, root.matroid.dual()._contractions,
+        *root._fa_memo, root.ground._kept, root.matroid._contractions, root.matroid.dual()._contractions,
         root.circuit_sig._restriction_memo, root.cocircuit_sig._restriction_memo,
     ]
-    assert all(caches)
+    assert len(caches) == 7 and all(caches)
     probes = [Probe() for _ in caches]
     for cache, probe in zip(caches, probes):
         cache[("probe",)] = probe
@@ -1825,9 +1915,9 @@ def test_relabel_cache_is_bounded_and_evictions_keep_minors_exact():
         for label, pair in enumerate(pairs):
             raised += assert_induced_signature_matches_lifts(pair, list(minor_specs(pair.ground.size)), (flood, label))
         for d in range(info.maxsize):  # dropped sets no sweep asks for
-            matroid._relabelled(1 << 40 | d)
+            matroid._relabelled(1 << 40 | d, 41)
         misses = matroid._relabelled.cache_info().misses
-        matroid._relabelled(0b101)
+        matroid._relabelled(0b101, 3)
         assert matroid._relabelled.cache_info().misses == misses + 1  # evicted
         assert matroid._relabelled.cache_info().currsize == info.maxsize
     assert raised

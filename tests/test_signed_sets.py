@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omlab.errors import DomainError, GroundMismatchError, UnknownElementError
-from omlab.signed_sets import GroundSet, SignedSubset, compose
+from omlab.signed_sets import GroundSet, SignedSubset, compose, indices
 
 G3 = GroundSet.range(3)
 G4 = GroundSet.range(4)
@@ -90,8 +90,8 @@ def test_orthogonal_equal_restrictions_fail():
 
 
 def test_separator():
-    assert ss(G6, "+-+000").separator(ss(G6, "000-0+")) == frozenset()
-    assert ss(G3, "+-+").separator(ss(G3, "++0")) == frozenset({1})
+    assert indices(ss(G6, "+-+000").sep_mask(ss(G6, "000-0+"))) == frozenset()
+    assert indices(ss(G3, "+-+").sep_mask(ss(G3, "++0"))) == frozenset({1})
 
 
 def test_opposite_and_reorient():
